@@ -32,16 +32,9 @@
 //
 //	res, err := fastsim.Run(prog, fastsim.WithSnapshot("prog.fsnap"))
 //
-// Run and RunContext are the canonical entry points; every knob is a
-// functional Option (see docs/API.md for ordering rules and the full
-// catalog). Callers holding a fully built Config pass it through
-// fastsim.WithConfig; the struct-based RunConfig survives as a deprecated
-// wrapper over exactly that.
-//
-// Compile hot replay chains into flat bytecode for extra replay
-// throughput, still bit-identical:
-//
-//	res, err := fastsim.Run(prog, fastsim.WithReplayCompile(8))
+// Run and RunContext are the entry points; every knob is a functional
+// Option (see docs/API.md for ordering rules and the full catalog).
+// Callers holding a fully built Config pass it through fastsim.WithConfig.
 //
 // Inspect a snapshot file without touching a live cache:
 //
@@ -190,10 +183,10 @@ func NewObserver(o ObserverOptions) *Observer { return obs.New(o) }
 
 // Tracer records a hierarchical span trace of one run (run ⊃ record/replay
 // episodes, reclaims, snapshot IO, quarantine and guard instants) as Chrome
-// trace-event JSON loadable in Perfetto. Attach one via Config.Tracer or
-// WithSpanTrace; like the Observer it is strictly read-only, nil-safe, and
-// one pointer check per hook when disabled. Close it after the run. See
-// docs/OBSERVABILITY.md.
+// trace-event JSON loadable in Perfetto. Attach one via WithTracer (close
+// it after the run) or let WithSpanTraceTo/WithSpanTraceInto build and
+// close it; like the Observer it is strictly read-only, nil-safe, and one
+// pointer check per hook when disabled. See docs/OBSERVABILITY.md.
 type Tracer = obs.Tracer
 
 // TracerOptions configures NewTracer (timebase and process label).
@@ -247,15 +240,6 @@ func Run(prog *Program, opts ...Option) (*Result, error) {
 // without writing any snapshot file.
 func RunContext(ctx context.Context, prog *Program, opts ...Option) (*Result, error) {
 	return core.RunContext(ctx, prog, buildConfig(opts))
-}
-
-// RunConfig simulates prog under a fully built Config — the struct-based
-// form of Run.
-//
-// Deprecated: use Run(prog, WithConfig(cfg)), which this is now literally
-// implemented as; further options can then compose on top of the struct.
-func RunConfig(prog *Program, cfg Config) (*Result, error) {
-	return Run(prog, WithConfig(cfg))
 }
 
 // Assemble translates SV8 assembly source into a runnable Program.

@@ -41,12 +41,6 @@ type EventsReport struct {
 	ChainActionsHist  stats.Histogram `json:"chain_actions_hist"`
 	ChainEpisodesHist stats.Histogram `json:"chain_episodes_hist"`
 
-	// Chain compilation (flat replay bytecode): units built, bytecode ops
-	// emitted and buffer bytes allocated across the run.
-	Compiles      uint64 `json:"compiles,omitempty"`
-	CompiledOps   uint64 `json:"compiled_ops,omitempty"`
-	CompiledBytes int64  `json:"compiled_bytes,omitempty"`
-
 	// Timeline is the ordered quarantine / guard / snapshot record.
 	Timeline []TimelineEntry `json:"timeline"`
 }
@@ -83,10 +77,6 @@ func AnalyzeEvents(r io.Reader) (*EventsReport, error) {
 			rep.ChainActions += ev.Actions
 			rep.ChainActionsHist.Add(ev.Actions)
 			rep.ChainEpisodesHist.Add(ev.Episodes)
-		case obs.EvMemoCompile:
-			rep.Compiles++
-			rep.CompiledOps += ev.Actions
-			rep.CompiledBytes += int64(ev.Bytes)
 		case obs.EvQuarantine:
 			rep.Timeline = append(rep.Timeline, TimelineEntry{
 				Cycle: ev.Cycle, Type: "quarantine", Detail: ev.Reason, Actions: ev.Actions,
@@ -120,10 +110,6 @@ func (r *EventsReport) Render(w io.Writer) {
 		r.Chains, r.ChainEpisodes, r.ChainActions)
 	fmt.Fprintf(w, "%s", indent(r.ChainActionsHist.Render("actions per chain"), "  "))
 	fmt.Fprintf(w, "%s", indent(r.ChainEpisodesHist.Render("episodes per chain"), "  "))
-	if r.Compiles > 0 {
-		fmt.Fprintf(w, "\n  compiled chains: %d (%d ops, %d bytes)\n",
-			r.Compiles, r.CompiledOps, r.CompiledBytes)
-	}
 	if len(r.Timeline) > 0 {
 		fmt.Fprintf(w, "\n  timeline:\n")
 		for _, t := range r.Timeline {

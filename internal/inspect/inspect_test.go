@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -177,6 +178,39 @@ func TestAnalyzeEventsStorm(t *testing.T) {
 	}
 	if got := len(rep.Timeline); got != storm {
 		t.Fatalf("%d timeline entries, want %d", got, storm)
+	}
+}
+
+// TestAnalyzeEventsLegacyCompile: streams from builds that could compile
+// replay chains carry compile events, a type this build no longer emits.
+// They still analyze, counted under ByType only, with every other
+// aggregate as if they were absent.
+func TestAnalyzeEventsLegacyCompile(t *testing.T) {
+	const legacy = `{"type":"memo_compile","cycle":12,"actions":40,"bytes":640,"fingerprint":"00000000deadbeef"}` + "\n"
+	var buf strings.Builder
+	o := obs.New(obs.Options{EventW: &buf})
+	o.ReplayStart(10)
+	o.ReplayEnd(100, 3, 12)
+	o.Close()
+	plain, err := inspect.AnalyzeEvents(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := inspect.AnalyzeEvents(strings.NewReader(legacy + buf.String() + legacy))
+	if err != nil {
+		t.Fatalf("stream with compile events: %v", err)
+	}
+	var legacyType struct{ Type string }
+	if err := json.Unmarshal([]byte(legacy), &legacyType); err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.ByType[legacyType.Type]; got != 2 || rep.Events != plain.Events+2 {
+		t.Fatalf("compile events counted %d times in %d events, want 2 in %d",
+			got, rep.Events, plain.Events+2)
+	}
+	rep.Events, rep.ByType = plain.Events, plain.ByType
+	if !reflect.DeepEqual(rep, plain) {
+		t.Errorf("compile events changed the digest:\nwith    %+v\nwithout %+v", rep, plain)
 	}
 }
 

@@ -116,11 +116,6 @@ type Engine struct {
 	verifyEvery uint64
 	verifyTick  uint64
 
-	// compileN is Options.CompileThreshold clamped into uint32 range: the
-	// replay-entry count at which a chain is compiled to flat bytecode.
-	// 0 disables compilation and keeps replay on the pointer path.
-	compileN uint32
-
 	// recScratch is the engine's single recorder, reset by newRecorder at
 	// each episode boundary. The previous episode's recorder is always
 	// finished (setLink called) before the next one starts, so reusing one
@@ -141,12 +136,6 @@ func NewEngine(prog *program.Program, params uarch.Params, drv Driver, opts Opti
 		e.verifyEvery = 1
 	case rate > 0:
 		e.verifyEvery = uint64(1/rate + 0.5)
-	}
-	if n := opts.CompileThreshold; n > 0 {
-		if n > 1<<31 {
-			n = 1 << 31
-		}
-		e.compileN = uint32(n)
 	}
 	return e
 }
@@ -356,11 +345,6 @@ func (e *Engine) setGuard(lvl guardLevel) {
 		e.Cache.stats.GuardDegraded++
 	}
 	e.guard = lvl
-	if lvl != guardNormal {
-		// Leaving normal operation: the guard wants footprint down and the
-		// reclaim it forces may clip compiled trees, so drop every unit.
-		e.Cache.invalidateCompiled()
-	}
 	if e.Obs != nil {
 		e.Obs.Guard(e.now, lvl.String(), e.Cache.bytes)
 	}
@@ -512,27 +496,6 @@ func (e *Engine) replayRun(cfg *config) (*config, error) {
 		if err := e.cancelled(); err != nil {
 			e.endChain()
 			return nil, err
-		}
-		if e.compileN != 0 {
-			if bc := cfg.bc; bc != nil && bc.epoch == c.bcEpoch {
-				next, stopped, rerr := e.replayCompiled(cfg, bc)
-				switch {
-				case rerr != nil:
-					e.endChain()
-					return nil, rerr
-				case e.halted:
-					e.endChain()
-					return nil, nil
-				case stopped:
-					e.endChain()
-					return next, nil
-				}
-				cfg = next
-				continue
-			}
-			if e.shouldCompile(cfg) && e.compileChain(cfg) != nil {
-				continue // replay this episode through the fresh unit
-			}
 		}
 		adv := cfg.first
 		e.script = e.script[:0]

@@ -32,6 +32,25 @@ func (d *stubDriver) ApplyPops(insts, loads, stores, recs int) {
 	d.pops = append(d.pops, [4]int{insts, loads, stores, recs})
 }
 
+// benchDriver is a stub Driver whose interactions are constant, so a chain
+// replays identically every pass: pure dispatch, no core wiring.
+type benchDriver struct {
+	heads uarch.Heads
+	out   uarch.Outcome
+	pops  int
+}
+
+func (d *benchDriver) NextOutcome() uarch.Outcome                 { return d.out }
+func (d *benchDriver) IssueLoad(lqIdx int, now uint64) int        { return 0 }
+func (d *benchDriver) PollLoad(lqIdx int, now uint64) (bool, int) { return true, 0 }
+func (d *benchDriver) IssueStore(sqIdx int, now uint64)           {}
+func (d *benchDriver) CancelLoad(lqIdx int)                       {}
+func (d *benchDriver) Rollback(recIdx int) (int, int)             { return 0, 0 }
+func (d *benchDriver) RetirePop(insts, loads, stores, recs int)   {}
+func (d *benchDriver) HaltRetired()                               {}
+func (d *benchDriver) Heads() uarch.Heads                         { return d.heads }
+func (d *benchDriver) ApplyPops(insts, loads, stores, recs int)   { d.pops++ }
+
 func newStubEngine() (*Engine, *stubDriver) {
 	d := &stubDriver{}
 	return &Engine{Cache: NewCache(DefaultOptions()), drv: d}, d
@@ -169,3 +188,70 @@ func TestReplayCommitsThenStopsAtShell(t *testing.T) {
 		t.Errorf("pops = %v", d.pops)
 	}
 }
+
+// A halt action commits the final episode (clock and pops) before halting
+// the engine, and replayRun reports it as (nil, nil).
+func TestReplayHalt(t *testing.T) {
+	e, d := newStubEngine()
+	c := e.Cache
+	cfg, _ := c.getOrCreate([]byte{9, 0, 0, 0, 0, 0})
+	adv := c.newAction(actAdvance, 0)
+	adv.cycles, adv.insts = 11, 5
+	cfg.first = adv
+	adv.next = c.newAction(actHalt, 0)
+
+	e.beginChain()
+	got, rerr := e.replayRun(cfg)
+	if rerr != nil || got != nil {
+		t.Fatalf("replayRun = (%v, %v), want (nil, nil) on halt", got, rerr)
+	}
+	if !e.halted {
+		t.Fatal("engine not halted")
+	}
+	st := c.Stats()
+	if e.now != 11 || st.EpisodesReplay != 1 || st.ReplayInsts != 5 {
+		t.Errorf("final episode not committed: now=%d episodes=%d insts=%d",
+			e.now, st.EpisodesReplay, st.ReplayInsts)
+	}
+	if len(d.pops) != 1 || d.pops[0] != [4]int{5, 0, 0, 0} {
+		t.Errorf("pops = %v", d.pops)
+	}
+}
+
+// BenchmarkReplayWalk isolates the replay walk from the simulation driver:
+// a chain of 512 configurations, each holding one representative episode
+// (outcome branch, issue-store, link), replayed against constant
+// interactions. It is the dispatch-only baseline for replay changes.
+func BenchmarkReplayWalk(b *testing.B) {
+	const chainLen = 512
+	e := &Engine{Cache: NewCache(DefaultOptions()), drv: &benchDriver{out: benchOutcome}}
+	c := e.Cache
+	cfgs := make([]*config, chainLen+1)
+	for i := range cfgs {
+		cfgs[i], _ = c.getOrCreate([]byte{byte(i), byte(i >> 8), 1, 0, 0, 0})
+	}
+	for i := 0; i < chainLen; i++ {
+		adv := c.newAction(actAdvance, 0)
+		adv.cycles, adv.insts, adv.stores = 3, 2, 1
+		out := c.newAction(actOutcome, 0)
+		st := c.newAction(actIssueStore, 0)
+		lnk := c.newAction(actLink, 0)
+		lnk.nextCfg = cfgs[i+1]
+		cfgs[i].first = adv
+		adv.next = out
+		out.setEdge(outcomeLabel(benchOutcome), st)
+		st.next = lnk
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.now = 0
+		e.beginChain()
+		if _, err := e.replayRun(cfgs[0]); err != nil {
+			b.Fatal(err)
+		}
+		e.endChain()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/chainLen, "ns/episode")
+}
+
+var benchOutcome = uarch.Outcome{Kind: direct.KindBranch, Taken: true}

@@ -9,7 +9,7 @@ import (
 // in one chain — enough for the publication tie-breaks, which compare
 // action counts only.
 func graphN(n int) *Graph {
-	g := &Graph{Keys: []string{"k"}, First: []int64{0}, Uses: []uint32{0}}
+	g := &Graph{Keys: []string{"k"}, First: []int64{0}}
 	for i := 0; i < n; i++ {
 		ga := GraphAction{Kind: uint8(actAdvance), Cycles: 1, Next: int64(i + 1), NextCfg: -1}
 		if i == n-1 {

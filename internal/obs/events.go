@@ -47,10 +47,6 @@ const (
 	// level ("normal", "pressure" or "detailed-only") and Bytes the
 	// p-action footprint at the transition.
 	EvGuard = "guard"
-	// EvMemoCompile reports a hot p-action chain being compiled into flat
-	// replay bytecode: Actions is the bytecode-op count, Bytes the compiled
-	// buffer size, Fingerprint the configuration's hash.
-	EvMemoCompile = "memo_compile"
 	// EvShared reports shared p-action cache activity: Op is "acquire" (the
 	// run warm-started from a published graph), "publish" (the run's merged
 	// graph became the new epoch), "reject" (a stale or fenced publish was
@@ -197,19 +193,6 @@ func (o *Observer) Quarantine(cycle uint64, reason string, actions uint64, fp ui
 	}
 	o.events.emit(&Event{
 		Type: EvQuarantine, Cycle: cycle, Reason: reason, Actions: actions,
-		Fingerprint: fmt.Sprintf("%016x", fp),
-	})
-}
-
-// ChainCompile reports a hot p-action chain compiled into flat replay
-// bytecode: ops is the instruction count, bytes the buffer size, fp the
-// configuration's hash.
-func (o *Observer) ChainCompile(cycle uint64, ops uint64, bytes int, fp uint64) {
-	if o == nil || o.events == nil {
-		return
-	}
-	o.events.emit(&Event{
-		Type: EvMemoCompile, Cycle: cycle, Actions: ops, Bytes: bytes,
 		Fingerprint: fmt.Sprintf("%016x", fp),
 	})
 }

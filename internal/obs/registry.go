@@ -49,12 +49,6 @@ const (
 	MetricMemoVerifyEpisodes    = "memo.verify.episodes"
 	MetricMemoVerifyDivergences = "memo.verify.divergences"
 
-	MetricMemoCompileChains        = "memo.compile.chains"
-	MetricMemoCompileOps           = "memo.compile.ops"
-	MetricMemoCompileBytes         = "memo.compile.bytes"
-	MetricMemoCompileEpisodes      = "memo.compile.episodes"
-	MetricMemoCompileInvalidations = "memo.compile.invalidations"
-
 	MetricGuardLevel       = "guard.level"
 	MetricGuardBudgetBytes = "guard.budget_bytes"
 	MetricGuardDegraded    = "guard.degraded_episodes"

@@ -214,7 +214,7 @@ func TestCrashRecoveryKill9(t *testing.T) {
 		var r journalRec
 		if err := json.Unmarshal([]byte(line), &r); err != nil {
 			t.Errorf("post-recovery journal line corrupt: %q", line)
-		} else if !r.verify() {
+		} else if !verifyLine([]byte(line)) {
 			t.Errorf("post-recovery journal checksum bad: %q", line)
 		}
 	}

@@ -95,6 +95,7 @@ func TestErrorMappingHTTP(t *testing.T) {
 	}{
 		{"bad json", "POST", "/v1/jobs", "{", 400, CodeBadRequest},
 		{"unknown field", "POST", "/v1/jobs", `{"wat":1}`, 400, CodeBadRequest},
+		{"removed field", "POST", "/v1/jobs", `{"workload":"129.compress","compile_threshold":8}`, 400, CodeBadRequest},
 		{"no program", "POST", "/v1/jobs", `{}`, 400, CodeBadRequest},
 		{"both programs", "POST", "/v1/jobs", `{"workload":"129.compress","asm":"halt"}`, 400, CodeBadRequest},
 		{"unknown workload", "POST", "/v1/jobs", `{"workload":"999.nope"}`, 400, CodeUnknownWorkload},

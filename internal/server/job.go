@@ -39,8 +39,6 @@ type JobSpec struct {
 	// byte limit.
 	Policy string `json:"policy,omitempty"`
 	Limit  int    `json:"limit,omitempty"`
-	// CompileThreshold enables flat replay bytecode (see WithReplayCompile).
-	CompileThreshold int `json:"compile_threshold,omitempty"`
 	// VerifyRate enables shadow verification of cache hits in [0, 1].
 	VerifyRate float64 `json:"verify_rate,omitempty"`
 	// MemoBudget is the per-job hard p-action cache byte budget; it also
@@ -131,7 +129,6 @@ func (s *JobSpec) buildConfig() (core.Config, error) {
 	if s.Limit != 0 {
 		cfg.Memo.Limit = s.Limit
 	}
-	cfg.Memo.CompileThreshold = s.CompileThreshold
 	if s.VerifyRate < 0 || s.VerifyRate > 1 {
 		return cfg, codeErr(CodeBadRequest, nil, "verify_rate %v outside [0, 1]", s.VerifyRate)
 	}

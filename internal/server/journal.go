@@ -42,9 +42,8 @@ type journalRec struct {
 	Code    Code     `json:"code,omitempty"`
 	Msg     string   `json:"msg,omitempty"`
 	Digest  string   `json:"digest,omitempty"`
-	// Sum is the FNV-64a hex checksum of the record's JSON encoding with
-	// Sum itself empty; recovery re-derives and compares it.
-	Sum string `json:"sum,omitempty"`
+	// The line's last member, "sum", is the FNV-64a hex checksum of the
+	// encoding before it; seal writes it and verifyLine checks it.
 }
 
 const (
@@ -56,39 +55,42 @@ const (
 	recCancel = "cancel"
 )
 
-// seal computes and installs the record's self-checksum, returning the
-// final encoded line (newline-terminated).
+// seal returns the record's final encoded line (newline-terminated): its
+// JSON encoding with the closing brace replaced by `,"sum":"<16 hex>"}`,
+// the checksum of that encoding.
 func (r *journalRec) seal() ([]byte, error) {
-	r.Sum = ""
 	b, err := json.Marshal(r)
 	if err != nil {
 		return nil, err
 	}
-	h := fnv.New64a()
-	h.Write(b) //nolint:errcheck // fnv.Write never fails
-	r.Sum = fmt.Sprintf("%016x", h.Sum64())
-	b, err = json.Marshal(r)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	sum := lineSum(b)
+	b = append(b[:len(b)-1], sumPrefix...)
+	b = append(b, sum...)
+	return append(b, '"', '}', '\n'), nil
 }
 
-// verify re-derives the checksum of a decoded record against its Sum.
-func (r *journalRec) verify() bool {
-	want := r.Sum
-	if want == "" {
-		return false
-	}
-	c := *r
-	c.Sum = ""
-	b, err := json.Marshal(&c)
-	if err != nil {
-		return false
-	}
+// sumPrefix introduces the checksum member seal appends to every line.
+const sumPrefix = `,"sum":"`
+
+func lineSum(b []byte) string {
 	h := fnv.New64a()
 	h.Write(b) //nolint:errcheck // fnv.Write never fails
-	return fmt.Sprintf("%016x", h.Sum64()) == want
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// verifyLine checks a journal line's checksum against the bytes that were
+// written, not a re-encoding of the decoded record: the pre-sum encoding is
+// the line with its trailing sum member cut back to a closing brace. A
+// record carrying a field this build no longer knows therefore still
+// verifies, so an upgrade never drops it as a torn tail.
+func verifyLine(line []byte) bool {
+	const tail = len(sumPrefix) + 16 + len(`"}`)
+	n := len(line) - tail
+	if n < 1 || string(line[n:n+len(sumPrefix)]) != sumPrefix || string(line[len(line)-2:]) != `"}` {
+		return false
+	}
+	body := append(line[:n:n], '}')
+	return lineSum(body) == string(line[n+len(sumPrefix):len(line)-2])
 }
 
 // journal is the crash-safe job log. A nil *journal (journaling disabled)
@@ -147,7 +149,7 @@ func readJournal(path string) (recs []journalRec, dropped int, err error) {
 			continue
 		}
 		var r journalRec
-		if json.Unmarshal(line, &r) != nil || !r.verify() {
+		if !verifyLine(line) || json.Unmarshal(line, &r) != nil {
 			// Torn tail: count this and everything after it as dropped.
 			dropped = 1
 			for sc.Scan() {

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -502,6 +504,45 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalRecoversUnknownSpecField: an accept record written by a build
+// whose JobSpec had a field this build lacks (compile_threshold) was sealed
+// over bytes that include it. Recovery verifies the written line, so the
+// job is re-queued and run, and the records after it are kept.
+func TestJournalRecoversUnknownSpecField(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	sealRaw := func(body string) string {
+		return body[:len(body)-1] + sumPrefix + lineSum([]byte(body)) + "\"}\n"
+	}
+	old := sealRaw(`{"seq":1,"rec":"accept","job":"j000001","job_seq":1,"spec":{"workload":"129.compress","scale":0.2,"compile_threshold":8}}`)
+	next := journalRec{Seq: 2, Rec: recAccept, Job: "j000002", JobSeq: 2, Spec: &JobSpec{Workload: "129.compress", Scale: 0.2}}
+	line, err := next.seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append([]byte(old), line...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestServer(t, Options{JournalPath: path})
+	if st := s.Stats(); st.JournalTorn != 0 {
+		t.Fatalf("recovery dropped %d journal lines", st.JournalTorn)
+	}
+	ref, err := s.Submit(quickSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustWait(t, ref).Digest
+	for _, id := range []string{"j000001", "j000002"} {
+		j, ok := s.Job(id)
+		if !ok {
+			t.Fatalf("job %s lost across restart", id)
+		}
+		if v := mustWait(t, j); v.State != StateDone || !v.Recovered || v.Digest != want {
+			t.Errorf("recovered job %s = %+v, want done with digest %s", id, v, want)
+		}
+	}
+}
+
 // TestJournalRecordChecksum pins the record self-checksum: a flipped bit
 // fails verify, a sealed record round-trips.
 func TestJournalRecordChecksum(t *testing.T) {
@@ -514,15 +555,14 @@ func TestJournalRecordChecksum(t *testing.T) {
 	if err := json.Unmarshal(line, &back); err != nil {
 		t.Fatal(err)
 	}
-	if !back.verify() {
+	if !reflect.DeepEqual(back, r) {
+		t.Fatalf("sealed record decoded as %+v, want %+v", back, r)
+	}
+	if !verifyLine(bytes.TrimSpace(line)) {
 		t.Fatal("sealed record failed verify")
 	}
 	corrupted := strings.Replace(string(line), "129.compress", "129.compresz", 1)
-	var bad journalRec
-	if err := json.Unmarshal([]byte(corrupted), &bad); err != nil {
-		t.Fatal(err)
-	}
-	if bad.verify() {
+	if verifyLine(bytes.TrimSpace([]byte(corrupted))) {
 		t.Fatal("bit-flipped record passed verify")
 	}
 }

@@ -43,9 +43,9 @@ var (
 // Stats field sequence; readers reject every other version (no migration —
 // a rejected snapshot is simply rebuilt by the next cold run).
 //
-// v2 added a per-configuration replay-use counter to the configs section
-// (the flat-replay-bytecode warmth hint; compiled buffers themselves are
-// rebuilt on demand, never persisted).
+// v2 added a per-configuration use slot to the configs section. Nothing
+// reads it any more: Encode writes 0 and Decode range-checks and discards
+// it, so every v2 file, whatever its slot values, still loads.
 const Version = 2
 
 // magic identifies a FastSim p-action snapshot file.
@@ -261,11 +261,7 @@ func encodeConfigs(g *memo.Graph) []byte {
 		out = binary.AppendUvarint(out, uint64(len(key)))
 		out = append(out, key...)
 		out = appendZigzag(out, g.First[i])
-		var uses uint32
-		if g.Uses != nil {
-			uses = g.Uses[i]
-		}
-		out = binary.AppendUvarint(out, uint64(uses))
+		out = binary.AppendUvarint(out, 0) // v2 use slot, unused
 	}
 	return out
 }
@@ -278,18 +274,16 @@ func decodeConfigs(payload []byte, g *memo.Graph) error {
 	}
 	g.Keys = make([]string, 0, n)
 	g.First = make([]int64, 0, n)
-	g.Uses = make([]uint32, 0, n)
 	for i := uint64(0); i < n; i++ {
 		kl := r.uvarint()
 		key := r.bytes(kl)
 		first := r.zigzag()
-		uses := r.uvarint()
+		uses := r.uvarint() // v2 use slot: range-checked, then ignored
 		if r.bad || uses > uint64(^uint32(0)) {
 			return fmt.Errorf("%w: truncated config %d", ErrCorrupt, i)
 		}
 		g.Keys = append(g.Keys, string(key))
 		g.First = append(g.First, first)
-		g.Uses = append(g.Uses, uint32(uses))
 	}
 	if len(r.data) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes in configs section", ErrCorrupt, len(r.data))

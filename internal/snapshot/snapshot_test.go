@@ -21,7 +21,6 @@ func testImage() *Image {
 	g := &img.Graph
 	g.Keys = []string{"\x00aa", "\x01bb", "\x02cc"}
 	g.First = []int64{0, 2, -1}
-	g.Uses = []uint32{5, 0, 2}
 	g.Actions = []memo.GraphAction{
 		{Kind: 0, Cycles: 9, Insts: 4, Loads: 1, Stores: 1, Recs: 2, Next: 1, NextCfg: -1},
 		{Kind: 1, Rel: -3, Next: -1, NextCfg: -1,

@@ -63,7 +63,7 @@ func TestOptionsSentinels(t *testing.T) {
 	}
 }
 
-func TestOptionsOrderingAndRunConfig(t *testing.T) {
+func TestOptionsOrderingAndWithConfig(t *testing.T) {
 	prog, err := Assemble("demo.s", demoSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -79,17 +79,17 @@ func TestOptionsOrderingAndRunConfig(t *testing.T) {
 		t.Error("later option did not override WithConfig")
 	}
 
-	// RunConfig is the struct-based path; results agree with Run.
+	// A fully built Config passed through WithConfig agrees with Run.
 	viaOpts, err := Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCfg, err := RunConfig(prog, DefaultConfig())
+	viaCfg, err := Run(prog, WithConfig(DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if viaOpts.Cycles != viaCfg.Cycles {
-		t.Errorf("Run and RunConfig disagree: %d vs %d cycles", viaOpts.Cycles, viaCfg.Cycles)
+		t.Errorf("Run and Run(WithConfig) disagree: %d vs %d cycles", viaOpts.Cycles, viaCfg.Cycles)
 	}
 }
 
