@@ -253,3 +253,23 @@ func TestCLIFastsimTraceAndDot(t *testing.T) {
 		t.Errorf("dot file: %v", err)
 	}
 }
+
+// TestCLIFastsimSinkWriteFailure: an observability output that cannot be
+// written (a full disk) fails the run with a non-zero exit, never a
+// silently truncated file.
+func TestCLIFastsimSinkWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	bin := filepath.Join(binaries(t), "fastsim")
+	for _, flag := range []string{"-events", "-span-trace"} {
+		out, err := exec.Command(bin, "-workload", "129.compress", "-scale", "0.1", flag, "/dev/full").CombinedOutput()
+		if err == nil {
+			t.Errorf("%s /dev/full: exit 0, want a write failure\n%s", flag, out)
+			continue
+		}
+		if !strings.Contains(string(out), "no space left on device") {
+			t.Errorf("%s /dev/full: error does not name the write failure:\n%s", flag, out)
+		}
+	}
+}

@@ -155,12 +155,12 @@ func main() {
 			defer f.Close()
 			cfg.MemoGraphDot = f
 		}
+		var opt fastsim.ObserverOptions
 		if *spanOut != "" {
-			tb := fastsim.TimebaseCycles
 			switch *spanTB {
 			case "cycles":
 			case "wall":
-				tb = fastsim.TimebaseWall
+				opt.Timebase = fastsim.TimebaseWall
 			default:
 				fatal(fmt.Errorf("unknown span timebase %q (want cycles or wall)", *spanTB))
 			}
@@ -169,48 +169,45 @@ func main() {
 				fatal(err)
 			}
 			defer f.Close()
-			tr := fastsim.NewTracer(f, fastsim.TracerOptions{Timebase: tb, Name: "fastsim " + prog.Name})
-			defer tr.Close()
-			cfg.Tracer = tr
+			opt.SpanW = f
 		}
-		if *sample != "" || *events != "" || *progress || *debug != "" {
-			var opt fastsim.ObserverOptions
-			if *sample != "" {
-				f, err := os.Create(*sample)
-				if err != nil {
-					fatal(err)
-				}
-				defer f.Close()
-				opt.SampleW = f
-				opt.SampleInterval = *interval
+		if *sample != "" {
+			f, err := os.Create(*sample)
+			if err != nil {
+				fatal(err)
 			}
-			if *events != "" {
-				f, err := os.Create(*events)
-				if err != nil {
-					fatal(err)
-				}
-				defer f.Close()
-				opt.EventW = f
+			defer f.Close()
+			opt.SampleW = f
+			opt.SampleInterval = *interval
+		}
+		if *events != "" {
+			f, err := os.Create(*events)
+			if err != nil {
+				fatal(err)
 			}
-			if *progress {
-				opt.ProgressW = os.Stderr
+			defer f.Close()
+			opt.EventW = f
+		}
+		if *progress {
+			opt.ProgressW = os.Stderr
+		}
+		if *debug != "" {
+			opt.Publish = &fastsim.Published{}
+			srv, err := debugsrv.Start(*debug, debugsrv.Options{
+				Published: opt.Publish,
+				Info: map[string]string{
+					"program": prog.Name,
+					"engine":  *engine,
+					"policy":  *policy,
+				},
+			})
+			if err != nil {
+				fatal(err)
 			}
-			if *debug != "" {
-				opt.Publish = &fastsim.Published{}
-				srv, err := debugsrv.Start(*debug, debugsrv.Options{
-					Published: opt.Publish,
-					Info: map[string]string{
-						"program": prog.Name,
-						"engine":  *engine,
-						"policy":  *policy,
-					},
-				})
-				if err != nil {
-					fatal(err)
-				}
-				defer srv.Close()
-				fmt.Fprintf(os.Stderr, "fastsim: debug server on http://%s/\n", srv.Addr())
-			}
+			defer srv.Close()
+			fmt.Fprintf(os.Stderr, "fastsim: debug server on http://%s/\n", srv.Addr())
+		}
+		if *spanOut != "" || *sample != "" || *events != "" || *progress || *debug != "" {
 			cfg.Observer = fastsim.NewObserver(opt)
 		}
 		res, err := fastsim.Run(prog, fastsim.WithConfig(cfg))

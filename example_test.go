@@ -94,10 +94,10 @@ func ExampleMemoOptions() {
 	// flushed: true
 }
 
-// WithSpanTraceTo streams a Chrome trace-event span trace of the run; the
-// tracer is owned and closed by the run, so one composable option is all it
+// An Observer with a span writer streams a Chrome trace-event span trace of
+// the run; the run owns and closes the Observer, so attaching it is all it
 // takes.
-func ExampleWithSpanTraceTo() {
+func ExampleNewObserver_spanTrace() {
 	prog, err := fastsim.Assemble("spin.s", `
 main:
 	li   t0, 50
@@ -112,7 +112,8 @@ loop:
 	}
 
 	var trace bytes.Buffer
-	if _, err := fastsim.Run(prog, fastsim.WithSpanTraceTo(&trace, fastsim.TimebaseCycles)); err != nil {
+	o := fastsim.NewObserver(fastsim.ObserverOptions{SpanW: &trace, Timebase: fastsim.TimebaseCycles})
+	if _, err := fastsim.Run(prog, fastsim.WithObserver(o)); err != nil {
 		log.Fatal(err)
 	}
 

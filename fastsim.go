@@ -36,6 +36,14 @@
 // Option (see docs/API.md for ordering rules and the full catalog).
 // Callers holding a fully built Config pass it through fastsim.WithConfig.
 //
+// Observe a run — metrics, a JSONL event stream, a Perfetto span trace —
+// by attaching one Observer. Every occurrence is reported once to each
+// sink; the layer is read-only, so the Result is unchanged, and the run
+// owns the Observer, returning a sink's write failure as its error:
+//
+//	o := fastsim.NewObserver(fastsim.ObserverOptions{EventW: events, SpanW: spans})
+//	res, err := fastsim.Run(prog, fastsim.WithObserver(o))
+//
 // Inspect a snapshot file without touching a live cache:
 //
 //	snap, err := fastsim.OpenSnapshot("prog.fsnap")
@@ -158,8 +166,8 @@ const (
 type Workload = workloads.Workload
 
 // Observer is the simulator-wide observability layer: a metrics registry,
-// an interval time-series sampler, a structured JSONL event stream, and a
-// wall-clock progress heartbeat. Attach one via Config.Observer; it is
+// an interval time-series sampler, a structured JSONL event stream, a span
+// trace loadable in Perfetto, and a wall-clock progress heartbeat. Attach one via Config.Observer; it is
 // strictly read-only, so Result is bit-identical with or without it — on
 // FastSim and SlowSim alike. A nil Observer costs one pointer check per
 // hook. See docs/OBSERVABILITY.md.
@@ -181,29 +189,16 @@ const DefaultSampleInterval = obs.DefaultSampleInterval
 // NewObserver builds an Observer with the requested outputs enabled.
 func NewObserver(o ObserverOptions) *Observer { return obs.New(o) }
 
-// Tracer records a hierarchical span trace of one run (run ⊃ record/replay
-// episodes, reclaims, snapshot IO, quarantine and guard instants) as Chrome
-// trace-event JSON loadable in Perfetto. Attach one via WithTracer (close
-// it after the run) or let WithSpanTraceTo/WithSpanTraceInto build and
-// close it; like the Observer it is strictly read-only, nil-safe, and one
-// pointer check per hook when disabled. See docs/OBSERVABILITY.md.
-type Tracer = obs.Tracer
-
-// TracerOptions configures NewTracer (timebase and process label).
-type TracerOptions = obs.TracerOptions
-
-// Timebase selects the clock a Tracer stamps spans with.
+// Timebase selects the clock the span trace (ObserverOptions.SpanW) is
+// stamped with.
 type Timebase = obs.Timebase
 
-// Tracer timebases: simulated cycles (deterministic) or host microseconds
-// (profiling).
+// Span-trace timebases: simulated cycles (deterministic) or host
+// microseconds (profiling).
 const (
 	TimebaseCycles = obs.TimebaseCycles
 	TimebaseWall   = obs.TimebaseWall
 )
-
-// NewTracer builds a Tracer writing trace-event JSON to w.
-func NewTracer(w io.Writer, o TracerOptions) *Tracer { return obs.NewTracer(w, o) }
 
 // Published is the cross-goroutine hand-off point for metrics snapshots:
 // set ObserverOptions.Publish to one and the simulation publishes an

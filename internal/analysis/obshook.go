@@ -31,18 +31,15 @@ import (
 // its own run-local observer (declared inside the goroutine's function
 // literal), or the call carries //fastsim:observer-goroutine with a reason
 // the sharing is safe.
-//
-// All three rules apply identically to *obs.Tracer (PR 6's span tracer): it
-// shares the disabled-is-nil contract and is likewise a single-writer stream.
 var ObsHook = &Analyzer{
 	Name: "obshook",
-	Doc:  "observer/tracer hooks: nil-guarded implementations, allocation-free unguarded call sites, no shared observers in goroutines",
+	Doc:  "observer hooks: nil-guarded implementations, allocation-free unguarded call sites, no shared observers in goroutines",
 	Run:  runObsHook,
 }
 
 // hookTypes are the obs types whose exported methods are hot-path hooks
 // bound by the nil-guard / cheap-args / single-writer contract.
-var hookTypes = map[string]bool{"Observer": true, "Tracer": true}
+var hookTypes = map[string]bool{"Observer": true}
 
 func runObsHook(pass *Pass) {
 	if pass.Pkg.Name() == "obs" {
@@ -266,7 +263,7 @@ func endsInReturn(body *ast.BlockStmt) bool {
 }
 
 // hookRecvType reports whether e's type is one of the hook-bearing obs
-// types (Observer, Tracer) or a pointer to one, and which (matched by name,
+// types (Observer) or a pointer to one, and which (matched by name,
 // so fixture packages named obs participate too).
 func hookRecvType(pass *Pass, e ast.Expr) (string, bool) {
 	tv, ok := pass.Info.Types[e]

@@ -33,7 +33,7 @@ func badSharedLocal() {
 	shared := obs.New(obs.Options{})
 	done := make(chan struct{})
 	go func() {
-		shared.RecordStart(0) // want "captured from the enclosing function"
+		shared.ReplayBegin(0) // want "captured from the enclosing function"
 		shared.Finish(10)     // want "captured from the enclosing function"
 		close(done)
 	}()

@@ -1,7 +1,6 @@
 // Package obs mimics the observability layer's hook shape to self-test the
 // obshook analyzer's implementation-side rules: exported hooks on *Observer
-// and *Tracer must use a pointer receiver and begin with a nil-receiver
-// guard. The package is named obs so the analyzer treats it as the real one.
+// must use a pointer receiver and begin with a nil-receiver guard. The package is named obs so the analyzer treats it as the real one.
 package obs
 
 type sink struct{ n uint64 }
@@ -79,61 +78,11 @@ func (o *Observer) Emit(v any) {
 	_ = v
 }
 
-// --- the span tracer shares the same contract ---
-
-// Tracer is the fixture's second hook receiver; the analyzer applies the
-// identical rules to it.
-type Tracer struct {
-	spans *sink
-	depth int
-}
-
-// SpanBegin starts with the canonical guard: accepted.
-func (t *Tracer) SpanBegin(name string, cycle uint64) {
-	if t == nil {
-		return
-	}
-	t.spans.emit()
-	_, _ = name, cycle
-}
-
-// BadSpanEnd dereferences the receiver with no guard.
-func (t *Tracer) BadSpanEnd(cycle uint64) { // want "exported Tracer hook BadSpanEnd must begin with a nil-receiver guard"
-	t.spans.emit()
-	_ = cycle
-}
-
-// BadDepth cannot be invoked through a nil *Tracer without panicking.
-func (t Tracer) BadDepth() int { // want "exported Tracer hook BadDepth has a value receiver"
-	return t.depth
-}
-
 // --- call sites within the fixture ---
 
 type engine struct {
 	obs   *Observer
-	tr    *Tracer
 	insts uint64
-}
-
-// hotTrace passes plain values through an unguarded nil-safe tracer hook:
-// accepted.
-func (e *engine) hotTrace(cycle uint64) {
-	e.tr.SpanBegin("replay", cycle)
-}
-
-func spanName() string { return "replay" }
-
-// badTraceArg computes the span name even when the tracer is nil.
-func (e *engine) badTraceArg(cycle uint64) {
-	e.tr.SpanBegin(spanName(), cycle) // want "argument spanName.. to Tracer hook SpanBegin is evaluated"
-}
-
-// guardedTraceArg hoists the computation behind a nil check: accepted.
-func (e *engine) guardedTraceArg(cycle uint64) {
-	if e.tr != nil {
-		e.tr.SpanBegin(spanName(), cycle)
-	}
 }
 
 // hot passes plain values through an unguarded nil-safe hook: accepted.

@@ -7,7 +7,6 @@ import "fastsim/internal/obs"
 
 type core struct {
 	o     *obs.Observer
-	tr    *obs.Tracer
 	cycle uint64
 	insts int64
 }
@@ -31,13 +30,13 @@ func (c *core) badCall() {
 
 // badClosure allocates on every call.
 func (c *core) badClosure() {
-	c.o.Begin(func() uint64 { return c.cycle }) // want "closure passed to Observer hook Begin"
+	c.o.Begin("p", func() uint64 { return c.cycle }) // want "closure passed to Observer hook Begin"
 }
 
 // guarded computes freely inside a nil check: accepted.
 func (c *core) guarded() {
 	if c.o != nil {
-		c.o.Begin(func() uint64 { return c.cycle })
+		c.o.Begin("p", func() uint64 { return c.cycle })
 		c.o.Finish(expensive())
 	}
 }
@@ -50,13 +49,10 @@ func (c *core) earlyReturn() {
 	c.o.Finish(expensive())
 }
 
-// --- tracer hooks obey the same call-site rules ---
-
-// trace passes identifiers and selectors through unguarded nil-safe tracer
-// hooks: accepted.
-func (c *core) trace(kind string) {
-	c.tr.RecordBegin(kind, c.cycle)
-	c.tr.RecordEnd(c.cycle, uint64(c.insts), c.insts)
+// begin passes identifiers and selectors through an unguarded nil-safe
+// hook: accepted.
+func (c *core) begin(kind string) {
+	c.o.RecordBegin(kind, c.cycle)
 }
 
 func kindOf(verify bool) string {
@@ -66,19 +62,19 @@ func kindOf(verify bool) string {
 	return "record"
 }
 
-// badTraceCall computes the kind on every call, tracer attached or not.
-func (c *core) badTraceCall(verify bool) {
-	c.tr.RecordBegin(kindOf(verify), c.cycle) // want "argument kindOf.verify. to Tracer hook RecordBegin is evaluated"
+// badKind computes the kind on every call, observer attached or not.
+func (c *core) badKind(verify bool) {
+	c.o.RecordBegin(kindOf(verify), c.cycle) // want "argument kindOf.verify. to Observer hook RecordBegin is evaluated"
 }
 
-// badTraceConcat builds a string on every call.
-func (c *core) badTraceConcat(op string) {
-	c.tr.ReclaimBegin("memo."+op, c.cycle) // want "to Tracer hook ReclaimBegin is evaluated"
+// badConcat builds a string on every call.
+func (c *core) badConcat(op string) {
+	c.o.ReclaimBegin("memo."+op, c.cycle, 0) // want "to Observer hook ReclaimBegin is evaluated"
 }
 
-// guardedTrace computes freely inside a nil check: accepted.
-func (c *core) guardedTrace(verify bool) {
-	if c.tr != nil {
-		c.tr.RecordBegin(kindOf(verify), c.cycle)
+// guardedKind computes freely inside a nil check: accepted.
+func (c *core) guardedKind(verify bool) {
+	if c.o != nil {
+		c.o.RecordBegin(kindOf(verify), c.cycle)
 	}
 }

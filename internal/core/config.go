@@ -39,26 +39,12 @@ type Config struct {
 
 	// Observer, when non-nil, attaches the observability layer: a metrics
 	// registry every component registers into, an interval time-series
-	// sampler, a structured event stream and a progress heartbeat. It is
-	// strictly read-only — Result is bit-identical with or without it.
+	// sampler, a structured event stream, a span trace and a progress
+	// heartbeat. It is strictly read-only — Result is bit-identical with or
+	// without it. The run owns it from here on: Run closes it on every
+	// path, and a sink write failure on an otherwise successful run
+	// surfaces as the run error.
 	Observer *obs.Observer
-
-	// Tracer, when non-nil, records a hierarchical span trace of the run
-	// (run ⊃ record/replay episodes, reclaims, snapshot IO; quarantine and
-	// guard instants) as Chrome trace-event JSON. Like the Observer it is
-	// strictly read-only — Result is bit-identical with or without it —
-	// and with the cycle timebase the trace bytes themselves are
-	// deterministic. The caller owns the Tracer and must Close it after
-	// the run, unless TracerOwned is set.
-	Tracer *obs.Tracer
-
-	// TracerOwned transfers Tracer ownership to the run: Run closes it on
-	// every path (success, error, panic recovery) before returning, and a
-	// close failure on an otherwise successful run surfaces as the run
-	// error. Set by the facade's WithSpanTraceTo/Into options, which build
-	// the tracer internally; callers attaching their own tracer via
-	// WithTracer keep ownership.
-	TracerOwned bool
 
 	// MemoGraphDot, when non-nil, receives the final p-action graph in
 	// Graphviz DOT format after a memoized run (paper Figure 6).

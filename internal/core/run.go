@@ -81,16 +81,6 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (res *Re
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.TracerOwned && cfg.Tracer != nil {
-		// Registered before the recover defer, so it runs after err is
-		// settled: a close failure only surfaces when the run itself
-		// succeeded (Close is idempotent, so double closes are harmless).
-		defer func() {
-			if cerr := cfg.Tracer.Close(); cerr != nil && err == nil {
-				res, err = nil, fmt.Errorf("core: tracer close: %w", cerr)
-			}
-		}()
-	}
 	maxCycles := cfg.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = defaultMaxCycles
@@ -100,8 +90,16 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (res *Re
 	if o != nil {
 		drv.obs = o
 		drv.registerMetrics(o.Metrics())
-		o.Begin(func() uint64 { return drv.retiredInsts })
-		defer o.Close() // stops the heartbeat and flushes on every path
+		o.Begin(prog.Name, func() uint64 { return drv.retiredInsts })
+		// Registered before the recover defer, so it runs after err is
+		// settled: a sink write failure only surfaces when the run itself
+		// succeeded (Close is idempotent and reports the same error again
+		// after Finish).
+		defer func() {
+			if cerr := o.Close(); cerr != nil && err == nil {
+				res, err = nil, fmt.Errorf("core: observer: %w", cerr)
+			}
+		}()
 	}
 
 	defer func() {
@@ -121,8 +119,6 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (res *Re
 	// part of the reported time — the warm-vs-cold benchmark comparison
 	// stays honest.
 	start := time.Now() //fastsim:allow-wallclock: WallTime reports host simulation speed only; determinism tests zero it before comparing Results
-	tr := cfg.Tracer
-	tr.RunBegin(0)
 	var cycles uint64
 	var memoStats memo.Stats
 	var snapStatus SnapshotStatus
@@ -133,16 +129,12 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (res *Re
 		}
 		eng := memo.NewEngine(prog, cfg.Uarch, drv, cfg.Memo)
 		eng.Obs = o
-		eng.Trace = tr
 		eng.TraceW = cfg.Trace
 		if ctx.Done() != nil {
 			eng.Cancel = func() error { return ctx.Err() }
 		}
 		if cfg.SnapshotLoad != "" {
-			tr.SnapshotBegin("load", 0)
-			err := loadSnapshot(eng, prog, &cfg, &snapStatus)
-			tr.SnapshotEnd(0, snapStatus.LoadedConfigs, snapStatus.LoadedActions, snapStatus.LoadedBytes)
-			if err != nil {
+			if err := loadSnapshot(eng, prog, &cfg, &snapStatus); err != nil {
 				return nil, err
 			}
 		}
@@ -165,10 +157,7 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (res *Re
 			}
 		}
 		if cfg.SnapshotSave != "" {
-			tr.SnapshotBegin("save", cycles)
-			err := saveSnapshot(eng, prog, &cfg, cycles, &snapStatus)
-			tr.SnapshotEnd(cycles, snapStatus.SavedConfigs, snapStatus.SavedActions, snapStatus.SavedBytes)
-			if err != nil {
+			if err := saveSnapshot(eng, prog, &cfg, cycles, &snapStatus); err != nil {
 				return nil, err
 			}
 			memoStats = eng.Cache.Stats()
@@ -199,8 +188,10 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (res *Re
 		}
 		cycles = pl.Now
 	}
-	tr.RunEnd(cycles)
-	o.Finish(cycles)
+	// Finish closes the Observer; a sink write error it hits is reported
+	// by the deferred Close once the run's own outcome is settled.
+	o.Finish(cycles) //nolint:errcheck
+
 	wall := time.Since(start) //fastsim:allow-wallclock: see above
 
 	if !drv.halted {

@@ -98,6 +98,8 @@ func fingerprint(prog *program.Program, cfg *Config) uint64 {
 // with a structured warning in st and an EvSnapshot fallback event — unless
 // cfg.SnapshotStrict, which turns the warning into the returned error.
 func loadSnapshot(eng *memo.Engine, prog *program.Program, cfg *Config, st *SnapshotStatus) error {
+	o := cfg.Observer
+	o.SnapshotBegin("load", 0)
 	begin := time.Now() //fastsim:allow-wallclock: feeds the snapshot.load_ms gauge only, which the sampler's fixed column set never reads — it stays out of every deterministic stream
 	opts := snapshot.FileOptions{Retry: snapshot.DefaultRetry(), Inject: cfg.FaultInject}
 	img, err := snapshot.LoadFile(cfg.SnapshotLoad, fingerprint(prog, cfg), opts)
@@ -112,14 +114,16 @@ func loadSnapshot(eng *memo.Engine, prog *program.Program, cfg *Config, st *Snap
 	}
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
+			o.SnapshotEnd(0, "", 0, 0, 0, "")
 			return nil // first run: nothing to load, build the cache cold
 		}
 		if cfg.SnapshotStrict {
+			o.SnapshotEnd(0, "", 0, 0, 0, "")
 			return fmt.Errorf("core: snapshot load %s: %w", cfg.SnapshotLoad, err)
 		}
 		st.Warning = fmt.Sprintf("snapshot load %s: %v (starting cold)", cfg.SnapshotLoad, err)
 		reason := err.Error()
-		cfg.Observer.Snapshot(0, "fallback", 0, 0, 0, reason)
+		o.SnapshotEnd(0, "fallback", 0, 0, 0, reason)
 		return nil
 	}
 	ms := eng.Cache.Stats()
@@ -128,12 +132,12 @@ func loadSnapshot(eng *memo.Engine, prog *program.Program, cfg *Config, st *Snap
 	st.LoadedActions = len(img.Graph.Actions)
 	st.LoadedBytes = ms.Bytes
 	loadMS := float64(time.Since(begin).Microseconds()) / 1000 //fastsim:allow-wallclock: see above
-	cfg.Observer.Snapshot(0, "load", st.LoadedConfigs, st.LoadedActions, ms.Bytes, "")
+	o.SnapshotEnd(0, "load", st.LoadedConfigs, st.LoadedActions, st.LoadedBytes, "")
 
 	// Gauges for dashboards; the sampler's fixed column set excludes them,
 	// so the JSONL sample stream stays deterministic. load_ms is the only
 	// wall-clock-derived metric in the registry and is marked as such.
-	reg := cfg.Observer.Metrics()
+	reg := o.Metrics()
 	reg.Gauge("snapshot.loaded_configs", func() float64 { return float64(st.LoadedConfigs) })
 	reg.Gauge("snapshot.loaded_actions", func() float64 { return float64(st.LoadedActions) })
 	reg.Gauge("snapshot.loaded_bytes", func() float64 { return float64(st.LoadedBytes) })
@@ -145,6 +149,8 @@ func loadSnapshot(eng *memo.Engine, prog *program.Program, cfg *Config, st *Snap
 // run. Save failures are real errors (the user asked for a file and did not
 // get one), unlike load failures, which only cost warm-up.
 func saveSnapshot(eng *memo.Engine, prog *program.Program, cfg *Config, cycles uint64, st *SnapshotStatus) error {
+	o := cfg.Observer
+	o.SnapshotBegin("save", cycles)
 	img := &snapshot.Image{
 		Fingerprint: fingerprint(prog, cfg),
 		Graph:       *eng.Cache.ExportGraph(),
@@ -152,12 +158,13 @@ func saveSnapshot(eng *memo.Engine, prog *program.Program, cfg *Config, cycles u
 	opts := snapshot.FileOptions{Retry: snapshot.DefaultRetry(), Inject: cfg.FaultInject}
 	n, err := snapshot.SaveFile(cfg.SnapshotSave, img, opts)
 	if err != nil {
+		o.SnapshotEnd(cycles, "", 0, 0, 0, "")
 		return fmt.Errorf("core: %w", err)
 	}
 	st.Saved = true
 	st.SavedBytes = n
 	nConfigs, nActions := len(img.Graph.Keys), len(img.Graph.Actions)
 	st.SavedConfigs, st.SavedActions = nConfigs, nActions
-	cfg.Observer.Snapshot(cycles, "save", nConfigs, nActions, n, "")
+	o.SnapshotEnd(cycles, "save", nConfigs, nActions, n, "")
 	return nil
 }

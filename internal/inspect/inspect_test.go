@@ -110,15 +110,16 @@ func TestSnapshotReportMatchesRun(t *testing.T) {
 func TestAnalyzeEvents(t *testing.T) {
 	var buf strings.Builder
 	o := obs.New(obs.Options{EventW: &buf})
-	o.RecordStart(0)
+	o.RecordBegin(obs.SpanRecord, 0)
 	o.RecordEnd(10, 10, 8)
-	o.ReplayStart(10)
+	o.ReplayBegin(10)
 	o.ReplayEnd(100, 3, 12)
-	o.RecordStart(100)
+	o.RecordBegin(obs.SpanRecord, 100)
 	o.RecordEnd(130, 30, 25)
 	o.Quarantine(140, "verify divergence", 7, 0xabc)
 	o.Guard(150, "pressure", 4096)
-	o.Snapshot(160, "save", 2, 9, 512, "")
+	o.SnapshotBegin("save", 160)
+	o.SnapshotEnd(160, "save", 2, 9, 512, "")
 	o.Close()
 
 	rep, err := inspect.AnalyzeEvents(strings.NewReader(buf.String()))
@@ -189,7 +190,7 @@ func TestAnalyzeEventsLegacyCompile(t *testing.T) {
 	const legacy = `{"type":"memo_compile","cycle":12,"actions":40,"bytes":640,"fingerprint":"00000000deadbeef"}` + "\n"
 	var buf strings.Builder
 	o := obs.New(obs.Options{EventW: &buf})
-	o.ReplayStart(10)
+	o.ReplayBegin(10)
 	o.ReplayEnd(100, 3, 12)
 	o.Close()
 	plain, err := inspect.AnalyzeEvents(strings.NewReader(buf.String()))

@@ -75,14 +75,11 @@ type Engine struct {
 	prog   *program.Program
 	params uarch.Params
 
-	// Obs, when non-nil, receives episode events and episode-boundary
-	// samples; set it before Run.
+	// Obs, when non-nil, receives every memo occurrence (record and replay
+	// episodes, reclaims, quarantines, guard transitions) and
+	// episode-boundary samples; set it before Run. It is read-only: the
+	// Result is bit-identical with or without it.
 	Obs *obs.Observer
-	// Trace, when non-nil, receives hierarchical span hooks (record and
-	// replay episode spans, reclaim spans, quarantine and guard instants);
-	// set it before Run. Like Obs it is read-only: the Result is
-	// bit-identical with or without it.
-	Trace *obs.Tracer
 	// TraceW, when non-nil, enables the memo-aware trace mode: detailed
 	// (recording) cycles get the usual per-cycle pipetrace lines, and each
 	// fast-forward chain is summarized with a single marker line —
@@ -172,9 +169,6 @@ func (e *Engine) Run(maxCycles uint64) (cycles uint64, err error) {
 		reg.Gauge(obs.MetricGuardLevel, func() float64 { return float64(e.guard) })
 		reg.Gauge(obs.MetricGuardBudgetBytes, func() float64 { return float64(e.Cache.opts.Budget) })
 		reg.Gauge(obs.MetricGuardDegraded, func() float64 { return float64(e.Cache.stats.DegradedEpisodes) })
-	}
-	if e.Trace != nil {
-		e.Cache.SetTracer(e.Trace, func() uint64 { return e.now })
 	}
 	if e.TraceW != nil {
 		e.tracer = uarch.NewTextTracer(e.TraceW)
@@ -295,7 +289,6 @@ func (e *Engine) quarantineChain(cfg *config, reason string) {
 	s.Quarantines++
 	s.QuarantinedActions += evicted
 	e.Obs.Quarantine(e.now, reason, evicted, cfg.hash)
-	e.Trace.Quarantine(e.now, reason, evicted)
 }
 
 // guardLevel is the memory-budget guard state (Options.Budget).
@@ -347,9 +340,6 @@ func (e *Engine) setGuard(lvl guardLevel) {
 	e.guard = lvl
 	if e.Obs != nil {
 		e.Obs.Guard(e.now, lvl.String(), e.Cache.bytes)
-	}
-	if e.Trace != nil {
-		e.Trace.Guard(e.now, lvl.String(), e.Cache.bytes)
 	}
 }
 
@@ -433,8 +423,7 @@ func (e *Engine) beginChain() {
 	e.chain = 0
 	e.chainEpisodes = 0
 	e.ffStart = e.now
-	e.Obs.ReplayStart(e.now)
-	e.Trace.ReplayBegin(e.now)
+	e.Obs.ReplayBegin(e.now)
 }
 
 func (e *Engine) endChain() {
@@ -446,7 +435,6 @@ func (e *Engine) endChain() {
 	}
 	s.ChainHist.Add(e.chain)
 	e.Obs.ReplayEnd(e.now, e.chainEpisodes, e.chain)
-	e.Trace.ReplayEnd(e.now, e.chainEpisodes, e.chain)
 	if e.TraceW != nil && e.chain > 0 {
 		fmt.Fprintf(e.TraceW, "%8d | fast-forward from cycle %d: %d episodes, %d actions replayed\n",
 			e.now, e.ffStart, e.chainEpisodes, e.chain)
@@ -458,7 +446,6 @@ func (e *Engine) endChain() {
 // cycle containing an interaction (or program halt). The recorder allocates
 // or re-walks action nodes as interactions occur.
 func (e *Engine) recordEpisode(pl *uarch.Pipeline, rec *recorder) {
-	e.Obs.RecordStart(e.now)
 	kind := obs.SpanRecord
 	switch {
 	case rec.verify:
@@ -468,7 +455,7 @@ func (e *Engine) recordEpisode(pl *uarch.Pipeline, rec *recorder) {
 	case rec.script != nil:
 		kind = obs.SpanResume
 	}
-	e.Trace.RecordBegin(kind, e.now)
+	e.Obs.RecordBegin(kind, e.now)
 	for {
 		rec.cycles++
 		pl.Step()
@@ -477,7 +464,6 @@ func (e *Engine) recordEpisode(pl *uarch.Pipeline, rec *recorder) {
 			e.Cache.stats.EpisodesRecord++
 			e.Cache.stats.DetailedCycles += uint64(rec.cycles)
 			e.Obs.RecordEnd(e.now, uint64(rec.cycles), int64(rec.insts))
-			e.Trace.RecordEnd(e.now, uint64(rec.cycles), int64(rec.insts))
 			e.Obs.Tick(e.now)
 			return
 		}

@@ -153,11 +153,9 @@ type Cache struct {
 	minors int
 	stats  Stats
 
-	// Observability: replacement activity is reported as structured
-	// events and reclaim spans, stamped with the engine's cycle counter
-	// via nowFn.
+	// Observability: replacement activity is reported to the Observer,
+	// stamped with the engine's cycle counter via nowFn.
 	obs   *obs.Observer
-	tr    *obs.Tracer
 	nowFn func() uint64
 }
 
@@ -165,13 +163,6 @@ type Cache struct {
 // cycle counter events are stamped with.
 func (c *Cache) SetObserver(o *obs.Observer, now func() uint64) {
 	c.obs = o
-	c.nowFn = now
-}
-
-// SetTracer attaches the span tracer: every replacement-policy action
-// (flush, collection, forced collection) becomes a reclaim span.
-func (c *Cache) SetTracer(t *obs.Tracer, now func() uint64) {
-	c.tr = t
 	c.nowFn = now
 }
 
@@ -283,38 +274,20 @@ func (c *Cache) Reclaim() {
 	if c.obs != nil {
 		c.obs.PActionLimit(c.nowFn(), c.bytes)
 	}
-	before := c.bytes
 	switch c.opts.Policy {
 	case PolicyFlush:
-		if c.obs != nil {
-			c.obs.PActionFlush(c.nowFn(), c.bytes)
-		}
-		if c.tr != nil {
-			c.tr.ReclaimBegin("flush", c.nowFn())
-		}
-		c.flush()
+		c.reclaim(obs.ReclaimFlush)
 	case PolicyGC:
-		if c.tr != nil {
-			c.tr.ReclaimBegin("gc", c.nowFn())
-		}
-		c.collect(false)
+		c.reclaim(obs.ReclaimGC)
 	case PolicyGenGC:
 		c.minors++
-		minor := c.minors%c.opts.MajorEvery != 0
-		if c.tr != nil {
-			op := "gc"
-			if minor {
-				op = "minor-gc"
-			}
-			c.tr.ReclaimBegin(op, c.nowFn())
+		if c.minors%c.opts.MajorEvery != 0 {
+			c.reclaim(obs.ReclaimMinorGC)
+		} else {
+			c.reclaim(obs.ReclaimGC)
 		}
-		c.collect(minor)
-	default:
-		return // PolicyUnbounded: nothing reclaimed, no span opened
 	}
-	if c.tr != nil {
-		c.tr.ReclaimEnd(c.nowFn(), before, c.bytes)
-	}
+	// PolicyUnbounded: nothing reclaimed, nothing reported.
 }
 
 // forceReclaim reclaims regardless of the Limit check — the budget guard's
@@ -324,23 +297,28 @@ func (c *Cache) Reclaim() {
 //
 //fastsim:memo-policy: forced-eviction decision point — survivors must be a pure function of cache state
 func (c *Cache) forceReclaim() {
-	before := c.bytes
 	if c.opts.Policy == PolicyFlush {
-		if c.obs != nil {
-			c.obs.PActionFlush(c.nowFn(), c.bytes)
-		}
-		if c.tr != nil {
-			c.tr.ReclaimBegin("flush", c.nowFn())
-			defer func() { c.tr.ReclaimEnd(c.nowFn(), before, c.bytes) }()
-		}
+		c.reclaim(obs.ReclaimFlush)
+	} else {
+		c.reclaim(obs.ReclaimForcedGC)
+	}
+}
+
+// reclaim runs one replacement-policy action, named by one of the
+// obs.Reclaim* ops, and reports it to the Observer.
+func (c *Cache) reclaim(op string) {
+	before := c.bytes
+	if c.obs != nil {
+		c.obs.ReclaimBegin(op, c.nowFn(), before)
+	}
+	if op == obs.ReclaimFlush {
 		c.flush()
-		return
+	} else {
+		c.collect(op == obs.ReclaimMinorGC)
 	}
-	if c.tr != nil {
-		c.tr.ReclaimBegin("forced-gc", c.nowFn())
-		defer func() { c.tr.ReclaimEnd(c.nowFn(), before, c.bytes) }()
+	if c.obs != nil {
+		c.obs.ReclaimEnd(c.nowFn(), before, c.bytes)
 	}
-	c.collect(false)
 }
 
 // evictChain quarantines cfg's action chain: every node of the chain tree

@@ -99,44 +99,74 @@ func newEventSink(w io.Writer) *eventSink {
 
 func (s *eventSink) emit(e *Event) {
 	s.n++
-	s.enc.Encode(e) //nolint:errcheck // observability output is best-effort
+	s.enc.Encode(e) //nolint:errcheck // sticky in the bufio.Writer; Observer.Close reports it
 }
 
-// --- hook methods; all nil-receiver safe, one pointer check when disabled ---
+// --- hook methods; all nil-receiver safe, one pointer check when disabled.
+// Each reports one occurrence to every attached sink. ---
 
-// RecordStart reports the start of a detailed (recording) episode.
-func (o *Observer) RecordStart(cycle uint64) {
-	if o == nil || o.events == nil {
+// RecordBegin reports the start of a detailed (recording) episode; kind is
+// one of the Span* constants (record, verify, degraded, resume) and names
+// the episode's span.
+func (o *Observer) RecordBegin(kind string, cycle uint64) {
+	if o == nil {
 		return
 	}
-	o.events.emit(&Event{Type: EvRecordStart, Cycle: cycle})
+	if o.events != nil {
+		o.events.emit(&Event{Type: EvRecordStart, Cycle: cycle})
+	}
+	if o.spans != nil {
+		o.spans.push("record", kind, cycle)
+	}
 }
 
-// RecordEnd reports the end of a detailed episode.
+// RecordEnd reports the end of a detailed episode with its payload: the
+// episode's cycle count and retired instructions.
 func (o *Observer) RecordEnd(cycle, cycles uint64, insts int64) {
-	if o == nil || o.events == nil {
+	if o == nil {
 		return
 	}
-	o.events.emit(&Event{Type: EvRecordEnd, Cycle: cycle, Cycles: cycles, Insts: insts})
+	if o.events != nil {
+		o.events.emit(&Event{Type: EvRecordEnd, Cycle: cycle, Cycles: cycles, Insts: insts})
+	}
+	if s := o.spans; s != nil && s.end(s.ts(cycle), "memo") {
+		s.argU("cycles", cycles)
+		s.argI("insts", insts)
+		s.argEnd()
+	}
 }
 
-// ReplayStart reports the start of a fast-forward chain.
-func (o *Observer) ReplayStart(cycle uint64) {
-	if o == nil || o.events == nil {
+// ReplayBegin reports the start of a fast-forward chain.
+func (o *Observer) ReplayBegin(cycle uint64) {
+	if o == nil {
 		return
 	}
-	o.events.emit(&Event{Type: EvReplayStart, Cycle: cycle})
+	if o.events != nil {
+		o.events.emit(&Event{Type: EvReplayStart, Cycle: cycle})
+	}
+	if o.spans != nil {
+		o.spans.push("replay", "", cycle)
+	}
 }
 
-// ReplayEnd reports the end of a fast-forward chain.
+// ReplayEnd reports the end of a fast-forward chain with the chain's
+// episode and action counts.
 func (o *Observer) ReplayEnd(cycle, episodes, actions uint64) {
-	if o == nil || o.events == nil {
+	if o == nil {
 		return
 	}
-	o.events.emit(&Event{Type: EvReplayEnd, Cycle: cycle, Episodes: episodes, Actions: actions})
+	if o.events != nil {
+		o.events.emit(&Event{Type: EvReplayEnd, Cycle: cycle, Episodes: episodes, Actions: actions})
+	}
+	if s := o.spans; s != nil && s.end(s.ts(cycle), "memo") {
+		s.argU("episodes", episodes)
+		s.argU("actions", actions)
+		s.argEnd()
+	}
 }
 
-// PActionLimit reports the p-action cache exceeding its size limit.
+// PActionLimit reports the p-action cache exceeding its size limit,
+// immediately before the replacement policy acts.
 func (o *Observer) PActionLimit(cycle uint64, bytes int) {
 	if o == nil || o.events == nil {
 		return
@@ -144,15 +174,48 @@ func (o *Observer) PActionLimit(cycle uint64, bytes int) {
 	o.events.emit(&Event{Type: EvPActionLimit, Cycle: cycle, Bytes: bytes})
 }
 
-// PActionFlush reports a whole-cache flush.
-func (o *Observer) PActionFlush(cycle uint64, bytes int) {
-	if o == nil || o.events == nil {
+// Reclaim ops: the replacement-policy action a reclaim span is named by.
+const (
+	ReclaimFlush    = "flush"     // whole-cache flush (PolicyFlush)
+	ReclaimGC       = "gc"        // major copying collection
+	ReclaimMinorGC  = "minor-gc"  // minor collection (PolicyGenGC)
+	ReclaimForcedGC = "forced-gc" // budget guard's forced major collection
+)
+
+// ReclaimBegin reports a replacement-policy action starting on a cache of
+// the given footprint; op is one of the Reclaim* constants. A flush is also
+// an event on the stream (collections report theirs through PActionGC).
+func (o *Observer) ReclaimBegin(op string, cycle uint64, bytes int) {
+	if o == nil {
 		return
 	}
-	o.events.emit(&Event{Type: EvPActionFlush, Cycle: cycle, Bytes: bytes})
+	if o.events != nil && op == ReclaimFlush {
+		o.events.emit(&Event{Type: EvPActionFlush, Cycle: cycle, Bytes: bytes})
+	}
+	if o.spans != nil {
+		o.spans.push("reclaim", op, cycle)
+	}
 }
 
-// PActionGC reports a copying collection.
+// ReclaimEnd reports a replacement-policy action finishing, with the
+// footprint before and after; the span trace also samples the memo.bytes
+// counter at the end stamp.
+func (o *Observer) ReclaimEnd(cycle uint64, bytesBefore, bytesAfter int) {
+	if o == nil {
+		return
+	}
+	if s := o.spans; s != nil {
+		end := s.ts(cycle)
+		if s.end(end, "memo") {
+			s.argI("bytes_before", int64(bytesBefore))
+			s.argI("bytes_after", int64(bytesAfter))
+			s.argEnd()
+			s.counter("memo.bytes", end, int64(bytesAfter))
+		}
+	}
+}
+
+// PActionGC reports a copying collection's outcome.
 func (o *Observer) PActionGC(cycle uint64, minor bool, live, survivors uint64, bytesAfter int) {
 	if o == nil || o.events == nil {
 		return
@@ -171,30 +234,57 @@ func (o *Observer) Rollback(recIdx int) {
 	o.events.emit(&Event{Type: EvRollback, Cycle: o.lastCycle, Rec: recIdx})
 }
 
-// Snapshot reports p-action cache snapshot activity: op is "load",
-// "fallback" or "save"; configs/actions/bytes describe the image moved
-// (zero for a fallback); reason is the fallback cause, "" otherwise.
-func (o *Observer) Snapshot(cycle uint64, op string, configs int, actions, bytes int, reason string) {
-	if o == nil || o.events == nil {
+// SnapshotBegin reports p-action cache snapshot IO starting; op is "load"
+// or "save" and names the span.
+func (o *Observer) SnapshotBegin(op string, cycle uint64) {
+	if o == nil || o.spans == nil {
 		return
 	}
-	o.events.emit(&Event{
-		Type: EvSnapshot, Cycle: cycle, Op: op,
-		Configs: configs, Actions: uint64(actions), Bytes: bytes, Reason: reason,
-	})
+	o.spans.push("snapshot", op, cycle)
+}
+
+// SnapshotEnd reports snapshot IO finishing: configs/actions/bytes describe
+// the image moved (zero when none was). outcome is what the event stream
+// reports — "load", "fallback" (reason says why the snapshot was rejected)
+// or "save" — and "" when there is nothing to report (no file to load, a
+// failed save).
+func (o *Observer) SnapshotEnd(cycle uint64, outcome string, configs, actions, bytes int, reason string) {
+	if o == nil {
+		return
+	}
+	if o.events != nil && outcome != "" {
+		o.events.emit(&Event{
+			Type: EvSnapshot, Cycle: cycle, Op: outcome,
+			Configs: configs, Actions: uint64(actions), Bytes: bytes, Reason: reason,
+		})
+	}
+	if s := o.spans; s != nil && s.end(s.ts(cycle), "snapshot") {
+		s.argI("configs", int64(configs))
+		s.argI("actions", int64(actions))
+		s.argI("bytes", int64(bytes))
+		s.argEnd()
+	}
 }
 
 // Quarantine reports a corrupt p-action chain being evicted: reason is the
 // detected mismatch, actions the evicted node count, fp the poisoned
 // configuration's hash.
 func (o *Observer) Quarantine(cycle uint64, reason string, actions uint64, fp uint64) {
-	if o == nil || o.events == nil {
+	if o == nil {
 		return
 	}
-	o.events.emit(&Event{
-		Type: EvQuarantine, Cycle: cycle, Reason: reason, Actions: actions,
-		Fingerprint: fmt.Sprintf("%016x", fp),
-	})
+	if o.events != nil {
+		o.events.emit(&Event{
+			Type: EvQuarantine, Cycle: cycle, Reason: reason, Actions: actions,
+			Fingerprint: fmt.Sprintf("%016x", fp),
+		})
+	}
+	if s := o.spans; s != nil {
+		s.instant("quarantine", "memo", s.ts(cycle))
+		s.argS("reason", reason)
+		s.argU("actions", actions)
+		s.argEnd()
+	}
 }
 
 // Shared reports shared p-action cache activity: op is "acquire",
@@ -212,12 +302,21 @@ func (o *Observer) Shared(cycle uint64, op string, configs, actions int, epoch, 
 	})
 }
 
-// Guard reports a memory-budget guard level transition.
+// Guard reports a memory-budget guard level transition and the p-action
+// footprint that triggered it.
 func (o *Observer) Guard(cycle uint64, level string, bytes int) {
-	if o == nil || o.events == nil {
+	if o == nil {
 		return
 	}
-	o.events.emit(&Event{Type: EvGuard, Cycle: cycle, Op: level, Bytes: bytes})
+	if o.events != nil {
+		o.events.emit(&Event{Type: EvGuard, Cycle: cycle, Op: level, Bytes: bytes})
+	}
+	if s := o.spans; s != nil {
+		s.instant("guard", "memo", s.ts(cycle))
+		s.argS("level", level)
+		s.argI("bytes", int64(bytes))
+		s.argEnd()
+	}
 }
 
 // CheckpointStall reports wrong-path execution running off the text

@@ -4,7 +4,9 @@
 // row every N simulated cycles; a structured JSONL event stream for the
 // discrete occurrences worth knowing about (episode recording and replay,
 // p-action cache flushes and collections, rollbacks, checkpoint stalls);
-// and a wall-clock progress heartbeat for long runs.
+// a hierarchical span trace in the Chrome trace-event format; and a
+// wall-clock progress heartbeat for long runs. Each occurrence is reported
+// through one Observer hook, which fans out to whichever sinks are attached.
 //
 // Observability is strictly read-only: it never feeds anything back into
 // the simulation, so a run with an Observer attached produces bit-identical
@@ -41,6 +43,13 @@ type Options struct {
 	// EventW receives the structured JSONL event stream (see Event).
 	EventW io.Writer
 
+	// SpanW receives a hierarchical span trace of the run (run ⊃
+	// record/replay episodes, reclaims, snapshot IO; quarantine and guard
+	// instants) as Chrome trace-event JSON, stamped in Timebase units. The
+	// process row is labelled "fastsim <program>".
+	SpanW    io.Writer
+	Timebase Timebase
+
 	// ProgressW receives a human-readable heartbeat line every
 	// ProgressEvery of wall-clock time (0 selects one second).
 	ProgressW     io.Writer
@@ -62,6 +71,7 @@ type Observer struct {
 	reg     *Registry
 	sampler *sampler
 	events  *eventSink
+	spans   *spanSink
 	hb      *heartbeat
 
 	pub         *Published
@@ -73,6 +83,7 @@ type Observer struct {
 	lastCycle uint64
 	flushers  []*bufio.Writer
 	closed    bool
+	err       error // first write error of a buffered sink
 }
 
 // New returns an Observer with the requested outputs enabled.
@@ -92,6 +103,11 @@ func New(opt Options) *Observer {
 		bw := bufio.NewWriter(opt.EventW)
 		o.flushers = append(o.flushers, bw)
 		o.events = newEventSink(bw)
+	}
+	if opt.SpanW != nil {
+		bw := bufio.NewWriter(opt.SpanW)
+		o.flushers = append(o.flushers, bw)
+		o.spans = newSpanSink(bw, opt.Timebase)
 	}
 	if opt.ProgressW != nil {
 		every := opt.ProgressEvery
@@ -118,14 +134,18 @@ func (o *Observer) Metrics() *Registry {
 	return o.reg
 }
 
-// Begin marks the start of a run. instsFn reports retired instructions and
-// is called from the simulation goroutine only (the heartbeat reads a
-// published copy). The heartbeat goroutine starts here.
-func (o *Observer) Begin(instsFn func() uint64) {
+// Begin marks the start of a run of the named program: it opens the run
+// span and starts the heartbeat goroutine. instsFn reports retired
+// instructions and is called from the simulation goroutine only (the
+// heartbeat reads a published copy).
+func (o *Observer) Begin(program string, instsFn func() uint64) {
 	if o == nil {
 		return
 	}
 	o.instsFn = instsFn
+	if o.spans != nil {
+		o.spans.start("fastsim " + program)
+	}
 	if o.hb != nil {
 		o.hb.start()
 	}
@@ -180,33 +200,49 @@ func (o *Observer) Events() uint64 {
 	return o.events.n
 }
 
-// Finish marks the successful end of a run at the final cycle count: a last
-// sampler row captures the tail interval, then the Observer closes.
-func (o *Observer) Finish(now uint64) {
+// Finish marks the successful end of a run at the final cycle count: the
+// run span closes, a last sampler row captures the tail interval, then the
+// Observer closes. It returns Close's error.
+func (o *Observer) Finish(now uint64) error {
 	if o == nil {
-		return
+		return nil
 	}
 	o.lastCycle = now
+	if s := o.spans; s != nil && s.end(s.ts(now), "run") {
+		s.argEnd()
+	}
 	if o.sampler != nil && (o.sampler.rows == 0 || now > o.sampler.last) {
 		o.sampler.sample(now)
 	}
 	if o.pub != nil {
 		o.publish(now)
 	}
-	o.Close()
+	return o.Close()
 }
 
-// Close stops the heartbeat goroutine and flushes buffered output. It is
-// idempotent and safe on error paths that never reached Finish.
-func (o *Observer) Close() {
-	if o == nil || o.closed {
-		return
+// Close stops the heartbeat goroutine, terminates the span trace and
+// flushes buffered output. It returns the first write error of the sample,
+// event and span sinks, so a truncated stream is never silent; the
+// heartbeat stays best-effort. Close is idempotent (later calls return the
+// same error) and safe on error paths that never reached Finish.
+func (o *Observer) Close() error {
+	if o == nil {
+		return nil
+	}
+	if o.closed {
+		return o.err
 	}
 	o.closed = true
 	if o.hb != nil {
 		o.hb.stop()
 	}
-	for _, bw := range o.flushers {
-		bw.Flush() //nolint:errcheck // observability output is best-effort
+	if o.spans != nil {
+		o.spans.close()
 	}
+	for _, bw := range o.flushers {
+		if err := bw.Flush(); err != nil && o.err == nil {
+			o.err = err
+		}
+	}
+	return o.err
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -79,7 +80,7 @@ func TestSamplerRowCount(t *testing.T) {
 	} {
 		var buf strings.Builder
 		o := New(Options{SampleW: &buf, SampleInterval: tc.interval})
-		o.Begin(func() uint64 { return 0 })
+		o.Begin("test", func() uint64 { return 0 })
 		for now := uint64(1); now <= tc.cycles; now++ {
 			o.Tick(now)
 		}
@@ -177,16 +178,19 @@ func TestSamplerRowValues(t *testing.T) {
 func TestEventStreamRoundTrip(t *testing.T) {
 	var buf strings.Builder
 	o := New(Options{EventW: &buf})
-	o.RecordStart(10)
+	o.RecordBegin(SpanRecord, 10)
 	o.RecordEnd(25, 15, 12)
-	o.ReplayStart(25)
+	o.ReplayBegin(25)
 	o.ReplayEnd(400, 30, 2200)
 	o.Tick(400)
 	o.Rollback(7)
 	o.CheckpointStall()
 	o.PActionLimit(400, 1<<20)
-	o.PActionFlush(400, 1<<20)
+	o.ReclaimBegin(ReclaimFlush, 400, 1<<20)
+	o.ReclaimEnd(400, 1<<20, 0)
+	o.ReclaimBegin(ReclaimMinorGC, 400, 1<<20)
 	o.PActionGC(400, true, 900, 300, 1<<19)
+	o.ReclaimEnd(400, 1<<20, 1<<19)
 	o.Close()
 
 	if o.Events() != 9 {
@@ -233,18 +237,27 @@ func TestEventStreamRoundTrip(t *testing.T) {
 func TestNilObserverZeroAlloc(t *testing.T) {
 	var o *Observer
 	if avg := testing.AllocsPerRun(1000, func() {
+		o.Begin("p", nil)
 		o.Tick(123)
-		o.RecordStart(1)
+		o.RecordBegin(SpanRecord, 1)
 		o.RecordEnd(2, 1, 1)
-		o.ReplayStart(2)
+		o.ReplayBegin(2)
 		o.ReplayEnd(3, 1, 1)
 		o.Rollback(0)
 		o.CheckpointStall()
 		o.PActionLimit(3, 0)
-		o.PActionFlush(3, 0)
+		o.ReclaimBegin(ReclaimGC, 3, 0)
 		o.PActionGC(3, false, 0, 0, 0)
+		o.ReclaimEnd(4, 1, 0)
+		o.SnapshotBegin("load", 0)
+		o.SnapshotEnd(0, "load", 0, 0, 0, "")
+		o.Quarantine(4, "r", 1, 0)
+		o.Guard(4, "normal", 0)
+		o.Shared(4, "publish", 0, 0, 0, 0)
 		o.Metrics().Value(MetricCycle)
 		_ = o.Now()
+		_ = o.Finish(5)
+		_ = o.Close()
 	}); avg != 0 {
 		t.Fatalf("nil-observer hooks allocate %.1f per run, want 0", avg)
 	}
@@ -283,7 +296,35 @@ func TestFinishEmitsAtLeastOneRow(t *testing.T) {
 func TestCloseIdempotent(t *testing.T) {
 	var buf strings.Builder
 	o := New(Options{SampleW: &buf, EventW: &buf, ProgressW: &buf})
-	o.Begin(func() uint64 { return 0 })
+	o.Begin("test", func() uint64 { return 0 })
 	o.Close()
 	o.Close() // must not double-stop the heartbeat or panic
+}
+
+// failWriter rejects every write.
+type failWriter struct{ err error }
+
+func (w failWriter) Write([]byte) (int, error) { return 0, w.err }
+
+// TestCloseReportsWriteError: a buffered sink whose writer fails makes
+// Finish and every later Close return the write error instead of dropping
+// it, whichever sink failed.
+func TestCloseReportsWriteError(t *testing.T) {
+	boom := errors.New("disk full")
+	for name, opt := range map[string]Options{
+		"sample": {SampleW: failWriter{boom}},
+		"events": {EventW: failWriter{boom}},
+		"spans":  {SpanW: failWriter{boom}},
+	} {
+		o := New(opt)
+		o.Begin("p", func() uint64 { return 0 })
+		o.RecordBegin(SpanRecord, 1)
+		o.RecordEnd(2, 1, 1)
+		if err := o.Finish(2); !errors.Is(err, boom) {
+			t.Errorf("%s: Finish = %v, want %v", name, err, boom)
+		}
+		if err := o.Close(); !errors.Is(err, boom) {
+			t.Errorf("%s: second Close = %v, want %v", name, err, boom)
+		}
+	}
 }

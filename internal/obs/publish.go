@@ -42,8 +42,8 @@ func (pb *Published) Latest() *MetricsSnapshot {
 }
 
 // publish builds a registry snapshot and swaps it in. Called from the
-// simulation goroutine only (Tick / Finish), never on the tracer-off or
-// publisher-off paths.
+// simulation goroutine only (Tick / Finish), never on the publisher-off
+// path.
 func (o *Observer) publish(now uint64) {
 	o.pubSeq++
 	snap := &MetricsSnapshot{Seq: o.pubSeq, Cycle: now, Values: o.reg.Snapshot()}

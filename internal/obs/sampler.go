@@ -103,7 +103,7 @@ func (s *sampler) sample(now uint64) {
 		row.LoadLatP95 = h.Quantile(0.95)
 		row.LoadLatP99 = h.Quantile(0.99)
 	}
-	s.enc.Encode(&row) //nolint:errcheck // observability output is best-effort
+	s.enc.Encode(&row) //nolint:errcheck // sticky in the bufio.Writer; Observer.Close reports it
 	s.prev = cur
 	s.last = now
 	s.rows++

@@ -27,44 +27,49 @@ func decodeTrace(t *testing.T, data []byte) []traceEvent {
 	return evs
 }
 
-// TestTracerSpans drives every hook through one plausible run shape and
-// checks the emitted events: valid JSON, correct nesting arithmetic, correct
-// payloads.
+// spanObserver returns an Observer whose only sink is a span trace into buf,
+// with the run already begun.
+func spanObserver(buf *bytes.Buffer, tb Timebase, program string) *Observer {
+	o := New(Options{SpanW: buf, Timebase: tb})
+	o.Begin(program, nil)
+	return o
+}
+
+// TestTracerSpans drives every span-bearing hook through one plausible run
+// shape and checks the emitted events: valid JSON, correct nesting
+// arithmetic, correct payloads.
 func TestTracerSpans(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(&buf, TracerOptions{Name: "test run"})
+	o := spanObserver(&buf, TimebaseCycles, "test run")
 
-	tr.RunBegin(0)
-	tr.SnapshotBegin("load", 0)
-	tr.SnapshotEnd(0, 10, 40, 1234)
-	tr.RecordBegin(SpanRecord, 100)
-	tr.RecordEnd(150, 50, 42)
-	tr.ReplayBegin(150)
-	tr.ReplayEnd(900, 12, 300)
-	tr.Quarantine(905, `bad "chain"`, 17)
-	tr.Guard(910, "pressure", 1<<20)
-	tr.ReclaimBegin("gc", 920)
-	tr.ReclaimEnd(930, 1<<20, 1<<19)
-	tr.RunEnd(1000)
-	if err := tr.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	o.SnapshotBegin("load", 0)
+	o.SnapshotEnd(0, "load", 10, 40, 1234, "")
+	o.RecordBegin(SpanRecord, 100)
+	o.RecordEnd(150, 50, 42)
+	o.ReplayBegin(150)
+	o.ReplayEnd(900, 12, 300)
+	o.Quarantine(905, `bad "chain"`, 17, 0xabc)
+	o.Guard(910, "pressure", 1<<20)
+	o.PActionLimit(920, 1<<20)
+	o.ReclaimBegin(ReclaimGC, 920, 1<<20)
+	o.PActionGC(930, false, 100, 50, 1<<19)
+	o.ReclaimEnd(930, 1<<20, 1<<19)
+	if err := o.Finish(1000); err != nil {
+		t.Fatalf("Finish: %v", err)
 	}
 
 	evs := decodeTrace(t, buf.Bytes())
 	// 2 metadata + snapshot + record + replay + quarantine + guard +
-	// reclaim + counter + run.
+	// reclaim + counter + run; limit and GC detail are events only.
 	if len(evs) != 10 {
 		t.Fatalf("%d events, want 10:\n%s", len(evs), buf.String())
-	}
-	if tr.Events() != 10 {
-		t.Fatalf("Events() = %d, want 10", tr.Events())
 	}
 
 	byName := map[string]traceEvent{}
 	for _, e := range evs {
 		byName[e.Name] = e
 	}
-	if e := byName["process_name"]; e.Ph != "M" || e.Args["name"] != "test run" {
+	if e := byName["process_name"]; e.Ph != "M" || e.Args["name"] != "fastsim test run" {
 		t.Fatalf("process_name = %+v", e)
 	}
 	if e := byName["load"]; e.Ph != "X" || e.Cat != "snapshot" || e.Args["configs"].(float64) != 10 {
@@ -97,12 +102,12 @@ func TestTracerSpans(t *testing.T) {
 // episode reached the detailed simulator.
 func TestTracerRecordKinds(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(&buf, TracerOptions{})
+	o := spanObserver(&buf, TimebaseCycles, "p")
 	for _, kind := range []string{SpanRecord, SpanVerify, SpanDegraded, SpanResume} {
-		tr.RecordBegin(kind, 1)
-		tr.RecordEnd(2, 1, 1)
+		o.RecordBegin(kind, 1)
+		o.RecordEnd(2, 1, 1)
 	}
-	tr.Close()
+	o.Close()
 	evs := decodeTrace(t, buf.Bytes())
 	var names []string
 	for _, e := range evs {
@@ -116,83 +121,81 @@ func TestTracerRecordKinds(t *testing.T) {
 	}
 }
 
-// TestNilTracerZeroAlloc proves the disabled fast path: every hook on a nil
-// *Tracer performs zero allocations (it is one pointer check).
+// TestNilTracerZeroAlloc proves the tracing-off fast path on an enabled
+// Observer: with no span sink (here only a sampler that never fires), every
+// span-bearing hook performs zero allocations.
 func TestNilTracerZeroAlloc(t *testing.T) {
-	var tr *Tracer
+	var buf bytes.Buffer
+	o := New(Options{SampleW: &buf, SampleInterval: 1 << 40})
+	o.Begin("p", nil)
 	if avg := testing.AllocsPerRun(1000, func() {
-		tr.RunBegin(0)
-		tr.SpanBegin("w", 1)
-		tr.RecordBegin(SpanRecord, 1)
-		tr.RecordEnd(2, 1, 1)
-		tr.ReplayBegin(2)
-		tr.ReplayEnd(3, 1, 1)
-		tr.ReclaimBegin("gc", 3)
-		tr.ReclaimEnd(4, 1, 0)
-		tr.SnapshotBegin("load", 0)
-		tr.SnapshotEnd(0, 0, 0, 0)
-		tr.Quarantine(4, "r", 1)
-		tr.Guard(4, "normal", 0)
-		tr.SpanEnd(5)
-		tr.RunEnd(5)
-		_ = tr.Events()
-		_ = tr.Close()
+		o.RecordBegin(SpanRecord, 1)
+		o.RecordEnd(2, 1, 1)
+		o.ReplayBegin(2)
+		o.ReplayEnd(3, 1, 1)
+		o.ReclaimBegin(ReclaimGC, 3, 1)
+		o.ReclaimEnd(4, 1, 0)
+		o.SnapshotBegin("load", 0)
+		o.SnapshotEnd(0, "load", 0, 0, 0, "")
+		o.Quarantine(4, "r", 1, 0)
+		o.Guard(4, "normal", 0)
 	}); avg != 0 {
-		t.Fatalf("nil-tracer hooks allocate %.1f per run, want 0", avg)
+		t.Fatalf("span hooks without a span sink allocate %.1f per run, want 0", avg)
 	}
 }
 
-// TestEnabledTracerSteadyStateZeroAlloc: once the scratch buffer has grown to
-// its working size, an enabled tracer's span hooks do not allocate either —
-// the encoder appends into a reused buffer.
+// TestEnabledTracerSteadyStateZeroAlloc: once the scratch buffer has
+// grown to its working size, the span sink's episode hooks do not allocate
+// — the encoder appends into a reused buffer.
 func TestEnabledTracerSteadyStateZeroAlloc(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Grow(1 << 20)
-	tr := NewTracer(&buf, TracerOptions{})
-	tr.RunBegin(0)
+	o := spanObserver(&buf, TimebaseCycles, "p")
 	cycle := uint64(0)
 	// Warm up the scratch buffer and bufio writer.
 	for i := 0; i < 64; i++ {
 		cycle++
-		tr.RecordBegin(SpanRecord, cycle)
-		tr.RecordEnd(cycle+1, 1, 1)
+		o.RecordBegin(SpanRecord, cycle)
+		o.RecordEnd(cycle+1, 1, 1)
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
 		cycle++
-		tr.RecordBegin(SpanRecord, cycle)
-		tr.RecordEnd(cycle+1, 1, 1)
-		tr.ReplayBegin(cycle + 1)
-		tr.ReplayEnd(cycle+2, 3, 9)
+		o.RecordBegin(SpanRecord, cycle)
+		o.RecordEnd(cycle+1, 1, 1)
+		o.ReplayBegin(cycle + 1)
+		o.ReplayEnd(cycle+2, 3, 9)
 	}); avg != 0 {
-		t.Fatalf("enabled tracer episode hooks allocate %.1f per run, want 0", avg)
+		t.Fatalf("enabled span-sink episode hooks allocate %.1f per run, want 0", avg)
 	}
 }
 
 // TestTracerDepthOverflow: pushes past the depth bound are dropped and their
-// pops balanced, so deeper spans neither corrupt the stack nor unbalance the
-// enclosing spans.
+// pops balanced, so deeper spans neither corrupt the stack nor unbalance
+// the enclosing run span.
 func TestTracerDepthOverflow(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(&buf, TracerOptions{})
+	o := spanObserver(&buf, TimebaseCycles, "p")
 	const deep = traceMaxDepth + 8
 	for i := 0; i < deep; i++ {
-		tr.SpanBegin("s", uint64(i))
+		o.RecordBegin(SpanRecord, uint64(i))
 	}
 	for i := 0; i < deep; i++ {
-		tr.SpanEnd(uint64(deep + i))
+		o.RecordEnd(uint64(deep+i), 1, 1)
 	}
-	// Underflow beyond balance is harmless.
-	tr.SpanEnd(999)
-	tr.Close()
+	o.Finish(999)
 	evs := decodeTrace(t, buf.Bytes())
-	spans := 0
+	spans, runs := 0, 0
 	for _, e := range evs {
 		if e.Ph == "X" {
 			spans++
 		}
+		if e.Name == "run" {
+			runs++
+		}
 	}
-	if spans != traceMaxDepth {
-		t.Fatalf("%d spans written, want %d (overflow must drop, not corrupt)", spans, traceMaxDepth)
+	if spans != traceMaxDepth || runs != 1 {
+		t.Fatalf("%d spans (%d run) written, want %d (1 run): overflow must drop, not corrupt",
+			spans, runs, traceMaxDepth)
 	}
 }
 
@@ -200,13 +203,12 @@ func TestTracerDepthOverflow(t *testing.T) {
 // must still produce well-formed JSON.
 func TestTracerOpenSpansDiscardedOnClose(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(&buf, TracerOptions{})
-	tr.RunBegin(0)
-	tr.RecordBegin(SpanRecord, 5)
-	if err := tr.Close(); err != nil {
+	o := spanObserver(&buf, TimebaseCycles, "p")
+	o.RecordBegin(SpanRecord, 5)
+	if err := o.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if err := tr.Close(); err != nil { // idempotent
+	if err := o.Close(); err != nil { // idempotent
 		t.Fatalf("second Close: %v", err)
 	}
 	decodeTrace(t, buf.Bytes())
@@ -217,16 +219,14 @@ func TestTracerOpenSpansDiscardedOnClose(t *testing.T) {
 func TestTracerCycleTimebaseDeterministic(t *testing.T) {
 	run := func() []byte {
 		var buf bytes.Buffer
-		tr := NewTracer(&buf, TracerOptions{Name: "det"})
-		tr.RunBegin(0)
+		o := spanObserver(&buf, TimebaseCycles, "det")
 		for c := uint64(1); c < 50; c++ {
-			tr.RecordBegin(SpanVerify, c*10)
-			tr.RecordEnd(c*10+5, 5, int64(c))
-			tr.ReplayBegin(c*10 + 5)
-			tr.ReplayEnd(c*10+9, 2, 7)
+			o.RecordBegin(SpanVerify, c*10)
+			o.RecordEnd(c*10+5, 5, int64(c))
+			o.ReplayBegin(c*10 + 5)
+			o.ReplayEnd(c*10+9, 2, 7)
 		}
-		tr.RunEnd(500)
-		tr.Close()
+		o.Finish(500)
 		return buf.Bytes()
 	}
 	if a, b := run(), run(); !bytes.Equal(a, b) {
@@ -238,12 +238,10 @@ func TestTracerCycleTimebaseDeterministic(t *testing.T) {
 // non-negative stamps (values are inherently nondeterministic).
 func TestTracerWallTimebase(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(&buf, TracerOptions{Timebase: TimebaseWall})
-	tr.RunBegin(0)
-	tr.RecordBegin(SpanRecord, 100)
-	tr.RecordEnd(200, 100, 10)
-	tr.RunEnd(300)
-	tr.Close()
+	o := spanObserver(&buf, TimebaseWall, "p")
+	o.RecordBegin(SpanRecord, 100)
+	o.RecordEnd(200, 100, 10)
+	o.Finish(300)
 	for _, e := range decodeTrace(t, buf.Bytes()) {
 		if e.Ph == "X" && e.TS+e.Dur > uint64(1)<<40 {
 			t.Fatalf("wall stamp implausible: %+v", e)
@@ -254,17 +252,22 @@ func TestTracerWallTimebase(t *testing.T) {
 	}
 }
 
-// TestTracerStringEscaping: interpolated reasons with JSON-hostile bytes
-// stay valid.
+// TestTracerStringEscaping: program names and interpolated reasons with
+// JSON-hostile bytes stay valid.
 func TestTracerStringEscaping(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(&buf, TracerOptions{Name: "a\\b\"c\n"})
-	tr.Quarantine(1, "line1\nline2\ttab\\quote\"", 3)
-	tr.Close()
+	o := spanObserver(&buf, TimebaseCycles, "a\\b\"c\n")
+	o.Quarantine(1, "line1\nline2\ttab\\quote\"", 3, 0)
+	o.Close()
 	evs := decodeTrace(t, buf.Bytes())
 	found := false
 	for _, e := range evs {
-		if e.Name == "quarantine" {
+		switch e.Name {
+		case "process_name":
+			if e.Args["name"] != "fastsim a\\b\"c\n" {
+				t.Fatalf("process name round-trip = %q", e.Args["name"])
+			}
+		case "quarantine":
 			found = true
 			if e.Args["reason"] != "line1\nline2\ttab\\quote\"" {
 				t.Fatalf("reason round-trip = %q", e.Args["reason"])

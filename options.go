@@ -70,7 +70,9 @@ func WithBPred(b core.BPredConfig) Option {
 }
 
 // WithObserver attaches the observability layer (metrics, sampler, events,
-// heartbeat); it is read-only, so the Result is unchanged by it.
+// span trace, heartbeat); it is read-only, so the Result is unchanged by
+// it. The run closes the Observer, and a sink write failure on an otherwise
+// successful run becomes the run error.
 func WithObserver(o *Observer) Option {
 	return func(c *Config) { c.Observer = o }
 }
@@ -79,46 +81,6 @@ func WithObserver(o *Observer) Option {
 // and one marker line per fast-forward chain (see Config.Trace).
 func WithTrace(w io.Writer) Option {
 	return func(c *Config) { c.Trace = w }
-}
-
-// WithTracer attaches a span tracer (see Tracer); the caller owns it and
-// must Close it after the run. Like WithObserver it is read-only, so the
-// Result is unchanged by it. For the common stream-to-a-writer case,
-// WithSpanTraceTo builds and closes the tracer for you.
-func WithTracer(t *Tracer) Option {
-	return func(c *Config) {
-		c.Tracer = t
-		c.TracerOwned = false
-	}
-}
-
-// WithSpanTraceTo streams a span trace of the run to w in Chrome
-// trace-event JSON: a Tracer is built with the given timebase when the run
-// starts and closed (terminating the JSON array and flushing) before Run
-// returns, on every path. A close failure on an otherwise successful run
-// surfaces as the run error, so a truncated trace is never silent. Use
-// WithSpanTraceInto to also observe the tracer (e.g. its event count)
-// after the run.
-func WithSpanTraceTo(w io.Writer, tb Timebase) Option {
-	return func(c *Config) {
-		c.Tracer = NewTracer(w, TracerOptions{Timebase: tb})
-		c.TracerOwned = true
-	}
-}
-
-// WithSpanTraceInto is WithSpanTraceTo with an out-parameter: *out is set
-// to the run-owned tracer when the option applies, so the caller can read
-// Events() after the run. The run still closes the tracer itself (Close is
-// idempotent — closing again is a harmless no-op).
-func WithSpanTraceInto(w io.Writer, tb Timebase, out **Tracer) Option {
-	return func(c *Config) {
-		t := NewTracer(w, TracerOptions{Timebase: tb})
-		c.Tracer = t
-		c.TracerOwned = true
-		if out != nil {
-			*out = t
-		}
-	}
 }
 
 // WithMemoGraphDot writes the final p-action graph in Graphviz DOT format
