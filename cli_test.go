@@ -212,16 +212,6 @@ func TestCLIFastsimSnapshot(t *testing.T) {
 	}
 }
 
-// TestCLIFsbenchWarmCold exercises the -warmcold mode end to end on one
-// tiny workload.
-func TestCLIFsbenchWarmCold(t *testing.T) {
-	out := runCLI(t, "fsbench", "-warmcold", "-scale", "0.03",
-		"-workloads", "130.li", "-q")
-	if !strings.Contains(out, "130.li") || !strings.Contains(out, "speedup") {
-		t.Errorf("warmcold table:\n%s", out)
-	}
-}
-
 func TestCLIFsbenchTable1(t *testing.T) {
 	out := runCLI(t, "fsbench", "-table", "1")
 	if !strings.Contains(out, "Decode 4 instructions") {
@@ -262,14 +252,20 @@ func TestCLIFastsimSinkWriteFailure(t *testing.T) {
 		t.Skip("no /dev/full on this platform")
 	}
 	bin := filepath.Join(binaries(t), "fastsim")
-	for _, flag := range []string{"-events", "-span-trace"} {
-		out, err := exec.Command(bin, "-workload", "129.compress", "-scale", "0.1", flag, "/dev/full").CombinedOutput()
+	for _, args := range [][]string{
+		{"-events", "/dev/full"},
+		{"-span-trace", "/dev/full"},
+		{"-trace", "/dev/full"},
+		{"-trace", "/dev/full", "-engine", "slowsim"},
+	} {
+		name := strings.Join(args, " ")
+		out, err := exec.Command(bin, append([]string{"-workload", "129.compress", "-scale", "0.1"}, args...)...).CombinedOutput()
 		if err == nil {
-			t.Errorf("%s /dev/full: exit 0, want a write failure\n%s", flag, out)
+			t.Errorf("%s: exit 0, want a write failure\n%s", name, out)
 			continue
 		}
 		if !strings.Contains(string(out), "no space left on device") {
-			t.Errorf("%s /dev/full: error does not name the write failure:\n%s", flag, out)
+			t.Errorf("%s: error does not name the write failure:\n%s", name, out)
 		}
 	}
 }

@@ -1,5 +1,8 @@
 // Command fsbench regenerates the paper's evaluation: Tables 2-5, Figure 7,
-// and the ablations discussed in §4-5.
+// the ablations discussed in §4-5, and the design-space sweep. Nothing
+// else: fault-injection, server-recovery and warm-start checks are Go
+// tests (docs/ROBUSTNESS.md maps each scenario to its test), and speed
+// is measured by perfbench.
 //
 // Usage:
 //
@@ -8,10 +11,8 @@
 //	fsbench -table 3                # adds the SimpleScalar surrogate
 //	fsbench -all                    # Tables 2-5 from one suite run
 //	fsbench -figure 7               # cache-limit sweep (slow: many runs)
-//	fsbench -warmcold               # snapshot warm-start vs cold-start timing
-//	fsbench -chaos -seed 7          # fault-injection suite: self-heal or typed error
-//	fsbench -serverchaos            # fssrv chaos: crash recovery, journal faults, shedding
-//	fsbench -ablation gc|direct|encoding
+//	fsbench -ablation gc|direct|encoding|bpred|inorder
+//	fsbench -sweep                  # design-space sweep
 //	fsbench -workloads 099.go,107.mgrid  # restrict any of the above
 //	fsbench -all -j 4               # fan runs over 4 workers (-j 1: sequential)
 //
@@ -31,22 +32,17 @@ import (
 
 func main() {
 	var (
-		table     = flag.Int("table", 0, "regenerate table N (1-5)")
-		figure    = flag.Int("figure", 0, "regenerate figure N (7)")
-		ablation  = flag.String("ablation", "", "run an ablation: gc | direct | encoding | bpred | inorder")
-		all       = flag.Bool("all", false, "regenerate tables 2-5 from one run")
-		warmcold  = flag.Bool("warmcold", false, "measure snapshot warm-start vs cold-start wall time")
-		chaos     = flag.Bool("chaos", false, "run the fault-injection suite: every fault must self-heal or fail typed")
-		svchaos   = flag.Bool("serverchaos", false, "run the fssrv chaos suite: crash recovery, journal faults, load shedding — every job recovered, retried, or typed")
-		artifacts = flag.String("artifacts", "", "directory receiving journal images from -serverchaos for post-mortem inspection")
-		seed      = flag.Uint64("seed", 1, "fault-injection seed for -chaos/-serverchaos")
-		sweep     = flag.Bool("sweep", false, "run the design-space sweep")
-		scale     = flag.Float64("scale", 1.0, "workload scale factor")
-		names     = flag.String("workloads", "", "comma-separated workload subset")
-		jobs      = flag.Int("j", 0, "worker-pool width: 0 = all CPUs, 1 = sequential")
-		quiet     = flag.Bool("q", false, "suppress progress output")
-		asJSON    = flag.Bool("json", false, "emit suite results as JSON (with -table/-all)")
-		debug     = flag.String("debug-addr", "", "serve pprof/expvar/status on this address (e.g. :6060) while the suite runs")
+		table    = flag.Int("table", 0, "regenerate table N (1-5)")
+		figure   = flag.Int("figure", 0, "regenerate figure N (7)")
+		ablation = flag.String("ablation", "", "run an ablation: gc | direct | encoding | bpred | inorder")
+		all      = flag.Bool("all", false, "regenerate tables 2-5 from one run")
+		sweep    = flag.Bool("sweep", false, "run the design-space sweep")
+		scale    = flag.Float64("scale", 1.0, "workload scale factor")
+		names    = flag.String("workloads", "", "comma-separated workload subset")
+		jobs     = flag.Int("j", 0, "worker-pool width: 0 = all CPUs, 1 = sequential")
+		quiet    = flag.Bool("q", false, "suppress progress output")
+		asJSON   = flag.Bool("json", false, "emit suite results as JSON (with -table/-all)")
+		debug    = flag.String("debug-addr", "", "serve pprof/expvar/status on this address (e.g. :6060) while the suite runs")
 	)
 	flag.Parse()
 
@@ -110,45 +106,6 @@ func main() {
 			fmt.Println(suite.Table5())
 		}
 		fmt.Print(suite.Verify())
-
-	case *warmcold:
-		rows, err := tablegen.RunWarmCold(subset, *scale, "", *jobs)
-		if err != nil {
-			fatal(err)
-		}
-		if *asJSON {
-			if err := tablegen.WriteWarmColdJSON(os.Stdout, rows); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		fmt.Println(tablegen.RenderWarmCold(rows))
-
-	case *chaos:
-		rows, err := tablegen.RunChaos(subset, *scale, *seed, *jobs)
-		if err != nil {
-			fatal(err)
-		}
-		if *asJSON {
-			if err := tablegen.WriteChaosJSON(os.Stdout, rows); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		fmt.Println(tablegen.RenderChaos(rows))
-
-	case *svchaos:
-		rows, err := tablegen.RunServerChaos(*scale, *seed, *artifacts)
-		if err != nil {
-			fatal(err)
-		}
-		if *asJSON {
-			if err := tablegen.WriteServerChaosJSON(os.Stdout, rows); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		fmt.Println(tablegen.RenderServerChaos(rows))
 
 	case *sweep:
 		res, err := tablegen.RunSweep(nil, subset, *scale, true, *jobs)

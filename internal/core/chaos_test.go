@@ -4,6 +4,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fastsim/internal/faultinject"
@@ -194,20 +195,28 @@ func TestChaosAllocFaultTyped(t *testing.T) {
 // The quarantine determinism tentpole: a warm start whose chains are
 // corrupted in memory (injected bit flips after decode) with verification
 // at 1.0 must self-heal to a Result bit-identical to the cold baseline —
-// under every replacement policy. Kind flips may instead be rejected at
-// import (cold fallback), which heals trivially; payload flips reach the
-// cache and must be caught by verification and quarantined.
+// under every replacement policy on 129.compress, and under the unbounded
+// policy on the other two suite workloads. Kind flips may instead be
+// rejected at import (cold fallback), which heals trivially; payload flips
+// reach the cache and must be caught by verification and quarantined.
 func TestQuarantineDeterminismAllPolicies(t *testing.T) {
-	policies := []memo.Options{
-		{Policy: memo.PolicyUnbounded},
-		{Policy: memo.PolicyFlush, Limit: 1 << 15},
-		{Policy: memo.PolicyGC, Limit: 1 << 15},
-		{Policy: memo.PolicyGenGC, Limit: 1 << 15, MajorEvery: 2},
+	unbounded := memo.Options{Policy: memo.PolicyUnbounded}
+	cases := []struct {
+		name, workload string
+		mo             memo.Options
+	}{
+		{"unbounded", "129.compress", unbounded},
+		{"flush", "129.compress", memo.Options{Policy: memo.PolicyFlush, Limit: 1 << 15}},
+		{"gc", "129.compress", memo.Options{Policy: memo.PolicyGC, Limit: 1 << 15}},
+		{"gengc", "129.compress", memo.Options{Policy: memo.PolicyGenGC, Limit: 1 << 15, MajorEvery: 2}},
+		{"099.go/unbounded", "099.go", unbounded},
+		{"107.mgrid/unbounded", "107.mgrid", unbounded},
 	}
-	p := obsWorkloads(t)["129.compress"]
-	for _, mo := range policies {
-		t.Run(mo.Policy.String(), func(t *testing.T) {
-			path, cold := writeSnapshot(t, "129.compress", mo)
+	progs := obsWorkloads(t)
+	for _, tc := range cases {
+		mo, p := tc.mo, progs[tc.workload]
+		t.Run(tc.name, func(t *testing.T) {
+			path, cold := writeSnapshot(t, tc.workload, mo)
 			// A targeted flip: the first action of the import (the sorted-
 			// first configuration's chain head) is corrupted, guaranteed.
 			inj := faultinject.New(5, faultinject.Fault{Site: faultinject.SiteChainFlip, Nth: 1})
@@ -249,40 +258,66 @@ func TestQuarantineDeterminismAllPolicies(t *testing.T) {
 
 // A run under a hard memory budget must stay within it (PeakBytes counts
 // every allocation high-water mark), degrade gracefully instead of failing,
-// and still produce the bit-identical Result. The guard gauges must agree
-// with the stats counters.
+// and still produce the bit-identical Result — cold, and warm-started under
+// full shadow verification. A snapshot that fits the budget is loaded; one
+// that does not is refused (cold start with a warning), because importing
+// it would break the bound before the guard could reclaim anything. The
+// guard gauges must agree with the stats counters.
 func TestChaosBudgetStaysWithin(t *testing.T) {
 	p := obsWorkloads(t)["129.compress"]
 	plain := chaosBaseline(t, "budget", "129.compress")
 
 	const budget = 1 << 15
-	cfg := DefaultConfig()
-	cfg.Memo.Budget = budget
-	o := obs.New(obs.Options{})
-	cfg.Observer = o
-	res, err := Run(p, cfg)
-	if err != nil {
-		t.Fatalf("budgeted run: %v", err)
-	}
-	m := res.Memo
-	if m.PeakBytes > budget {
-		t.Errorf("PeakBytes %d exceeded budget %d", m.PeakBytes, budget)
-	}
-	if m.GuardPressure == 0 {
-		t.Errorf("budget never pressured the guard (PeakBytes=%d); shrink the budget", m.PeakBytes)
-	}
-	if !reflect.DeepEqual(plain, normalize(res)) {
-		t.Errorf("budgeted Result differs from unbudgeted baseline")
-	}
-	reg := o.Metrics()
-	if got := reg.Value(obs.MetricGuardBudgetBytes); got != float64(budget) {
-		t.Errorf("guard.budget_bytes gauge = %v, want %d", got, budget)
-	}
-	if got := reg.Value(obs.MetricGuardDegraded); got != float64(m.DegradedEpisodes) {
-		t.Errorf("guard.degraded_episodes gauge = %v, stats say %d", got, m.DegradedEpisodes)
-	}
-	if got := reg.Value(obs.MetricMemoQuarantines); got != float64(m.Quarantines) {
-		t.Errorf("memo.quarantine.count gauge = %v, stats say %d", got, m.Quarantines)
+	big, _ := writeSnapshot(t, "129.compress", memo.DefaultOptions())
+	fits, _ := writeSnapshot(t, "129.compress", memo.Options{Policy: memo.PolicyUnbounded, Budget: budget})
+	for _, tc := range []struct {
+		name   string
+		load   string
+		verify float64
+		loaded bool
+	}{
+		{"cold", "", 0, false},
+		{"warm-verify", fits, 1, true},
+		{"warm-over-budget", big, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Memo.Budget = budget
+			cfg.Memo.VerifyRate = tc.verify
+			cfg.SnapshotLoad = tc.load
+			o := obs.New(obs.Options{})
+			cfg.Observer = o
+			res, err := Run(p, cfg)
+			if err != nil {
+				t.Fatalf("budgeted run: %v", err)
+			}
+			if res.Snapshot.Loaded != tc.loaded {
+				t.Errorf("Snapshot.Loaded = %v, want %v (warning %q)", res.Snapshot.Loaded, tc.loaded, res.Snapshot.Warning)
+			}
+			if tc.load == big && !strings.Contains(res.Snapshot.Warning, "memo budget") {
+				t.Errorf("over-budget snapshot warning = %q, want the memo budget named", res.Snapshot.Warning)
+			}
+			m := res.Memo
+			if m.PeakBytes > budget {
+				t.Errorf("PeakBytes %d exceeded budget %d", m.PeakBytes, budget)
+			}
+			if m.GuardPressure == 0 {
+				t.Errorf("budget never pressured the guard (PeakBytes=%d); shrink the budget", m.PeakBytes)
+			}
+			if !reflect.DeepEqual(plain, normalize(res)) {
+				t.Errorf("budgeted Result differs from unbudgeted baseline")
+			}
+			reg := o.Metrics()
+			if got := reg.Value(obs.MetricGuardBudgetBytes); got != float64(budget) {
+				t.Errorf("guard.budget_bytes gauge = %v, want %d", got, budget)
+			}
+			if got := reg.Value(obs.MetricGuardDegraded); got != float64(m.DegradedEpisodes) {
+				t.Errorf("guard.degraded_episodes gauge = %v, stats say %d", got, m.DegradedEpisodes)
+			}
+			if got := reg.Value(obs.MetricMemoQuarantines); got != float64(m.Quarantines) {
+				t.Errorf("memo.quarantine.count gauge = %v, stats say %d", got, m.Quarantines)
+			}
+		})
 	}
 }
 

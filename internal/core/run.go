@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 	"time"
 
 	"fastsim/internal/cachesim"
@@ -101,6 +102,17 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (res *Re
 			}
 		}()
 	}
+	if cfg.Trace != nil {
+		// Both engines write the pipetrace through tw; a write failure,
+		// like a sink failure above, fails a run that otherwise succeeded.
+		tw := &errWriter{w: cfg.Trace}
+		cfg.Trace = tw
+		defer func() {
+			if tw.err != nil && err == nil {
+				res, err = nil, fmt.Errorf("core: trace: %w", tw.err)
+			}
+		}()
+	}
 
 	defer func() {
 		if r := recover(); r != nil {
@@ -116,8 +128,7 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (res *Re
 	}()
 
 	// WallTime starts before the snapshot load, so warm-start overhead is
-	// part of the reported time — the warm-vs-cold benchmark comparison
-	// stays honest.
+	// part of the reported time — a warm-vs-cold comparison stays honest.
 	start := time.Now() //fastsim:allow-wallclock: WallTime reports host simulation speed only; determinism tests zero it before comparing Results
 	var cycles uint64
 	var memoStats memo.Stats
@@ -222,6 +233,22 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (res *Re
 
 		WallTime: wall,
 	}, nil
+}
+
+// errWriter keeps the first error its writer returns and drops every
+// later write, so a failed trace costs one failed write, not one per line.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (ew *errWriter) Write(p []byte) (int, error) {
+	if ew.err != nil {
+		return 0, ew.err
+	}
+	n, err := ew.w.Write(p)
+	ew.err = err
+	return n, err
 }
 
 // slowSimCancelMask amortizes SlowSim's cancellation polls to once per

@@ -1,5 +1,5 @@
 // Package faultinject provides deterministic, seed-addressed fault points
-// for the simulator's robustness machinery and its chaos suite.
+// for the simulator's robustness machinery and its chaos tests.
 //
 // A fault point ("site") is a named place in the code that consults an
 // Injector before doing real work: the p-action arena's allocator, the
@@ -135,11 +135,12 @@ func New(seed uint64, faults ...Fault) *Injector {
 }
 
 // Chaos returns the opt-in chaos-mode preset used by `fastsim -chaos` and
-// `fsbench -chaos`: transient IO errors that bounded retry should absorb,
-// an occasional truncation (typed cold-start fallback), sparse chain bit
-// flips (quarantined under shadow verification), and one rare allocation
-// failure (typed ErrEngineFault). Every outcome is either self-healed or a
-// typed error — which is exactly what the chaos suite asserts.
+// by fssrv jobs with a chaos_seed: transient IO errors that bounded retry
+// should absorb, an occasional truncation (typed cold-start fallback),
+// sparse chain bit flips (quarantined under shadow verification), and one
+// rare allocation failure (typed ErrEngineFault). Every outcome is either
+// self-healed or a typed error — which is exactly what core's
+// TestChaosPresetNeverSilentlyWrong asserts.
 func Chaos(seed uint64) *Injector {
 	return New(seed,
 		Fault{Site: SiteSnapshotRead, Rate: 1, Times: 2},

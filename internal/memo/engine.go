@@ -95,8 +95,9 @@ type Engine struct {
 	halted bool
 
 	tracer        uarch.Tracer
-	ffStart       uint64 // cycle at which the current fast-forward chain began
-	chainEpisodes uint64 // episodes replayed in the current chain
+	pl            *uarch.Pipeline // current detailed pipeline (the pipeline gauges read it)
+	ffStart       uint64          // cycle at which the current fast-forward chain began
+	chainEpisodes uint64          // episodes replayed in the current chain
 
 	keyBuf     []byte
 	script     []scriptEntry
@@ -178,6 +179,13 @@ func (e *Engine) Run(maxCycles uint64) (cycles uint64, err error) {
 		return 0, err
 	}
 	e.observePipeline(pl)
+	if e.Obs != nil {
+		// Registered once: the closures follow e.pl across every
+		// reconstruction after a replay stop.
+		reg := e.Obs.Metrics()
+		reg.Gauge(obs.MetricIQDepth, func() float64 { return float64(len(e.pl.Entries())) })
+		reg.Gauge(obs.MetricUarchCycle, func() float64 { return float64(e.pl.Now) })
+	}
 	var rec *recorder // recorder of the just-finished episode (for linking)
 
 	for !e.halted {
@@ -392,14 +400,12 @@ func (e *Engine) guardCheck() guardLevel {
 	return e.guard
 }
 
-// observePipeline attaches the trace and metrics sinks to a freshly built
-// detailed pipeline (the initial one, and each reconstruction after a
-// replay stop).
+// observePipeline makes a freshly built detailed pipeline (the initial
+// one, and each reconstruction after a replay stop) the engine's current
+// one and attaches the trace sink to it.
 func (e *Engine) observePipeline(pl *uarch.Pipeline) {
 	pl.Tracer = e.tracer
-	if e.Obs != nil {
-		pl.RegisterMetrics(e.Obs.Metrics())
-	}
+	e.pl = pl
 }
 
 // cancelMask amortizes cancellation polls: Cancel runs on the first
@@ -436,6 +442,7 @@ func (e *Engine) endChain() {
 	s.ChainHist.Add(e.chain)
 	e.Obs.ReplayEnd(e.now, e.chainEpisodes, e.chain)
 	if e.TraceW != nil && e.chain > 0 {
+		// TraceW keeps its own first error (core wraps Config.Trace).
 		fmt.Fprintf(e.TraceW, "%8d | fast-forward from cycle %d: %d episodes, %d actions replayed\n",
 			e.now, e.ffStart, e.chainEpisodes, e.chain)
 	}

@@ -57,6 +57,22 @@ type GraphAction struct {
 	Targets []int64
 }
 
+// Footprint returns the bytes ImportGraph charges for g: what a warm start
+// from g occupies before its first episode. It mirrors ImportGraph's
+// incremental accounting, which also charges a partial import.
+func (g *Graph) Footprint() int {
+	n := len(g.Keys)*configOverhead + len(g.Actions)*actionBytes
+	for _, k := range g.Keys {
+		n += len(k)
+	}
+	for i := range g.Actions {
+		if extra := len(g.Actions[i].Labels) - 2; extra > 0 {
+			n += extra * edgeExtraBytes
+		}
+	}
+	return n
+}
+
 // ExportGraph flattens the cache into a Graph. The traversal is iterative
 // (an explicit stack, like collect and dump) so multi-million-action chains
 // cannot overflow the goroutine stack, and deterministic: configurations

@@ -61,6 +61,9 @@ func TestGraphExportImportRoundTrip(t *testing.T) {
 	if c2.Bytes() != c.Bytes() {
 		t.Errorf("byte accounting differs after import: %d vs %d", c2.Bytes(), c.Bytes())
 	}
+	if f := g.Footprint(); f != c2.Bytes() {
+		t.Errorf("Footprint() = %d, import charged %d", f, c2.Bytes())
+	}
 	// Imported chains must be walkable exactly like the originals.
 	cf := c2.lookup([]byte{0, 0, 0, 0, 0, 0})
 	if cf == nil || cf.first == nil || cf.first.kind != actAdvance || cf.first.cycles != 7 {

@@ -301,7 +301,7 @@ type ResultView struct {
 // except how-the-run-went accounting (WallTime, Memo, Snapshot, Shared,
 // Memoized), which legitimately varies with warm starts and policies. Two
 // jobs for the same spec must produce equal digests no matter which
-// tenant warmed whom; the chaos suite asserts exactly that.
+// tenant warmed whom; TestSharedCacheAcrossJobs asserts exactly that.
 func resultDigest(r *core.Result) string {
 	c := *r
 	c.WallTime = 0

@@ -568,7 +568,10 @@ func TestJournalRecordChecksum(t *testing.T) {
 }
 
 // TestSharedCacheAcrossJobs: the second tenant for a spec warms from the
-// first one's published graph; opting out keeps a job cold.
+// first one's published graph; opting out keeps a job cold. A tenant armed
+// with chain flips ends with the clean digest or a typed failure, and a
+// clean tenant after it still gets the clean digest: poison never reaches
+// a neighbour through the shared cache.
 func TestSharedCacheAcrossJobs(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1}) // serialize so publication precedes the second run
 	first, err := s.Submit(quickSpec())
@@ -602,5 +605,28 @@ func TestSharedCacheAcrossJobs(t *testing.T) {
 	st := s.Stats()
 	if st.Shared == nil || st.Shared.Warm != 1 || st.Shared.Publishes == 0 {
 		t.Errorf("shared stats = %+v", st.Shared)
+	}
+
+	poisoned := quickSpec()
+	poisoned.Faults = []FaultSpec{{Site: "memo.chain_flip", Rate: 0.2, Times: 8}}
+	poisoned.VerifyRate = 1
+	poisoned.ChaosSeed = 7
+	pj, err := s.Submit(poisoned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, err := s.Submit(quickSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pv, cv := mustWait(t, pj), mustWait(t, follower)
+	switch {
+	case pv.State == StateDone && pv.Digest != fv.Digest:
+		t.Errorf("poisoned job done with digest %s, clean digest %s", pv.Digest, fv.Digest)
+	case pv.State != StateDone && (pv.State != StateFailed || pv.Code == ""):
+		t.Errorf("poisoned job ended %s without a typed code: %+v", pv.State, pv)
+	}
+	if cv.State != StateDone || cv.Digest != fv.Digest {
+		t.Errorf("clean follower = %s digest %s, want done with %s", cv.State, cv.Digest, fv.Digest)
 	}
 }

@@ -53,7 +53,7 @@ func (t *TextTracer) Cycle(now uint64, entries []Entry) {
 	}
 	b = append(b, '\n')
 	t.buf = b
-	t.W.Write(b) //nolint:errcheck // tracing is best-effort
+	t.W.Write(b) //nolint:errcheck // W keeps its own first error (core wraps Config.Trace)
 }
 
 // attach in Pipeline.Step is guarded by a nil check; see pipeline.go.
