@@ -214,8 +214,8 @@ func BenchmarkAblationPolicies(b *testing.B) {
 // hook — the configuration every other benchmark measures), "cycles"
 // attaches an Observer whose only sink is a cycle-timebase span trace
 // streamed to io.Discard. The off/on ns/op ratio bounds what -span-trace
-// costs; the off figures are what the CI perf gate compares against
-// BENCH_3.json.
+// costs; CI checks that the off figures equal a plain run's, whose
+// allocs/op and B/op it gates against testdata/bench_smoke.json.
 func BenchmarkTracerOverhead(b *testing.B) {
 	const wl = "099.go"
 	b.Run("off", func(b *testing.B) {

@@ -11,6 +11,12 @@
 // the usual 6-cycle delay and only the next call reveals the additional L2
 // miss penalty). No program data flows through this interface — only time.
 //
+// A load is named by its absolute lQ index, the µ-architecture's own name
+// for it. In-flight loads live in a fixed table indexed by the index's low
+// bits; its 256 slots come from the ActiveList bound (uarch caps it at 255),
+// since loads in flight hold consecutive indices inside the active list.
+// Access is the blocking form, for timing models that wait for each load.
+//
 // The cache simulator is deliberately *not* memoized (§4.1): its internal
 // state (tags, dirtiness, MSHR and bus occupancy) is external to the
 // µ-architecture configuration, and the intervals it returns label edges in
@@ -207,12 +213,17 @@ func (l *level) setMSHR(slot int, busyUntil uint64) { l.mshrFree[slot] = busyUnt
 type reqState uint8
 
 const (
-	stDone    reqState = iota // data available at readyAt
+	stIssue   reqState = iota // not yet looked up in L1
+	stDone                    // data available at readyAt
 	stL2Check                 // waiting for the L1 miss to reach L2
-	stMemWait                 // waiting for memory + bus
 )
 
+// tableSize is the number of in-flight load slots (see the package doc).
+const tableSize = 256
+
 type request struct {
+	lq      int  // absolute lQ index of the load holding the slot
+	live    bool // the slot holds an in-flight load
 	addr    uint32
 	state   reqState
 	start   uint64 // issue cycle (latency accounting)
@@ -222,15 +233,21 @@ type request struct {
 	fillL2  bool
 }
 
+// RequestError is the panic value of a refused load request: a poll of an
+// lQ index with no live request, or an issue into a slot another live index
+// holds. The caller's lQ bookkeeping has diverged from the cache's.
+type RequestError string
+
+func (e RequestError) Error() string { return string(e) }
+
 // Cache is the two-level hierarchy plus bus.
 type Cache struct {
 	cfg       Config
 	l1, l2    *level
 	busFreeAt uint64
 
-	reqs   map[int]*request
-	nextID int
-	stats  Stats
+	reqs  [tableSize]request // in-flight loads, slot lq&(tableSize-1)
+	stats Stats
 }
 
 // New builds a hierarchy from cfg (zero fields take defaults).
@@ -243,59 +260,78 @@ func New(cfg Config) *Cache {
 		cfg.MSHRs = d.MSHRs
 	}
 	return &Cache{
-		cfg:    cfg,
-		l1:     newLevel(cfg.L1Size, cfg.L1Assoc, cfg.Line, cfg.MSHRs, false),
-		l2:     newLevel(cfg.L2Size, cfg.L2Assoc, cfg.Line, cfg.MSHRs, true),
-		reqs:   make(map[int]*request),
-		nextID: 1,
+		cfg: cfg,
+		l1:  newLevel(cfg.L1Size, cfg.L1Assoc, cfg.Line, cfg.MSHRs, false),
+		l2:  newLevel(cfg.L2Size, cfg.L2Assoc, cfg.Line, cfg.MSHRs, true),
 	}
 }
 
-// Config returns the active configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
-// LoadRequest begins a load access at cycle now and returns a request id
-// plus the first interval, in cycles, before the data could be available.
-func (c *Cache) LoadRequest(addr uint32, now uint64) (id int, delay int) {
-	c.stats.Loads++
-	id = c.nextID
-	c.nextID++
-	r := &request{addr: addr, start: now}
-	c.reqs[id] = r
-
-	if c.l1.lookup(addr) {
-		c.stats.L1Hits++
-		r.state = stDone
-		r.readyAt = now + uint64(c.cfg.L1HitLat)
-		return id, c.cfg.L1HitLat
+// LoadRequest begins the access of the load at lQ index lq to addr at
+// cycle now and returns the first interval, in cycles, before the data
+// could be available. Re-issuing a live index replaces its request.
+func (c *Cache) LoadRequest(lq int, addr uint32, now uint64) (delay int) {
+	r := &c.reqs[lq&(tableSize-1)]
+	if r.live && r.lq != lq {
+		panic(RequestError(fmt.Sprintf("issue of load %d into the slot of live load %d", lq, r.lq)))
 	}
-	c.stats.L1Misses++
-	slot, startAt := c.l1.allocMSHR(now)
-	r.state = stL2Check
-	r.l1Slot = slot
-	r.readyAt = startAt + uint64(c.cfg.L1MissLat)
-	c.l1.setMSHR(slot, r.readyAt)
-	return id, int(r.readyAt - now)
+	*r = request{lq: lq, live: true, addr: addr, start: now}
+	_, delay = c.advance(r, now)
+	return delay
 }
 
-// LoadPoll advances a pending load at cycle now. It returns ready=true when
-// the data is available (the request is then complete and the id invalid),
+// LoadPoll advances the pending load at lQ index lq at cycle now. It returns
+// ready=true when the data is available (the index is then no longer live),
 // or ready=false and a further interval to wait.
-func (c *Cache) LoadPoll(id int, now uint64) (ready bool, delay int) {
-	r, ok := c.reqs[id]
-	if !ok {
-		panic(fmt.Sprintf("cachesim: poll of unknown request %d", id))
+func (c *Cache) LoadPoll(lq int, now uint64) (ready bool, delay int) {
+	r := &c.reqs[lq&(tableSize-1)]
+	if !r.live || r.lq != lq {
+		panic(RequestError(fmt.Sprintf("poll of load %d with no live request", lq)))
 	}
+	ready, delay = c.advance(r, now)
+	r.live = !ready
+	return ready, delay
+}
+
+// Access performs a whole load at cycle now, as a blocking cache would,
+// and returns its total latency. It holds no request slot.
+func (c *Cache) Access(addr uint32, now uint64) (total int) {
+	r := request{addr: addr, start: now}
+	for {
+		ready, d := c.advance(&r, now+uint64(total))
+		if ready {
+			return total
+		}
+		total += d
+	}
+}
+
+// advance moves r on at cycle now: ready when its data is available,
+// otherwise the further interval to wait.
+func (c *Cache) advance(r *request, now uint64) (ready bool, delay int) {
 	if now < r.readyAt {
 		return false, int(r.readyAt - now)
 	}
 	switch r.state {
+	case stIssue:
+		c.stats.Loads++
+		if c.l1.lookup(r.addr) {
+			c.stats.L1Hits++
+			r.state = stDone
+			r.readyAt = now + uint64(c.cfg.L1HitLat)
+			return false, c.cfg.L1HitLat
+		}
+		c.stats.L1Misses++
+		slot, startAt := c.l1.allocMSHR(now)
+		r.state = stL2Check
+		r.l1Slot = slot
+		r.readyAt = startAt + uint64(c.cfg.L1MissLat)
+		c.l1.setMSHR(slot, r.readyAt)
+		return false, int(r.readyAt - now)
 	case stDone:
 		if r.fill {
 			c.finishFill(r)
 		}
 		c.stats.LoadLatency.Add(r.readyAt - r.start)
-		delete(c.reqs, id)
 		return true, 0
 	case stL2Check:
 		if c.l2.lookup(r.addr) {
@@ -317,16 +353,11 @@ func (c *Cache) LoadPoll(id int, now uint64) (ready bool, delay int) {
 		c.busFreeAt = done
 		c.l2.setMSHR(slot2, done)
 		c.l1.setMSHR(r.l1Slot, done)
-		r.state = stMemWait
+		r.state = stDone
 		r.readyAt = done
 		r.fill = true
 		r.fillL2 = true
 		return false, int(done - now)
-	case stMemWait:
-		c.finishFill(r)
-		c.stats.LoadLatency.Add(r.readyAt - r.start)
-		delete(c.reqs, id)
-		return true, 0
 	}
 	panic("cachesim: bad request state")
 }
@@ -339,21 +370,28 @@ func (c *Cache) finishFill(r *request) {
 		}
 	}
 	c.l1.install(r.addr, false)
-	r.fill, r.fillL2 = false, false
 }
 
-// Cancel abandons an in-flight load whose instruction was squashed. Cache
-// state changes already caused by the access (tag movement, bus and MSHR
-// reservations) remain, modelling real wrong-path cache pollution.
-func (c *Cache) Cancel(id int) {
-	if _, ok := c.reqs[id]; ok {
+// Cancel abandons the in-flight load at lQ index lq, whose instruction was
+// squashed; an index with no live request is ignored. Cache state changes
+// already caused by the access (tag movement, bus and MSHR reservations)
+// remain, modelling real wrong-path cache pollution.
+func (c *Cache) Cancel(lq int) {
+	if r := &c.reqs[lq&(tableSize-1)]; r.live && r.lq == lq {
+		r.live = false
 		c.stats.Cancels++
-		delete(c.reqs, id)
 	}
 }
 
 // Outstanding returns the number of in-flight load requests.
-func (c *Cache) Outstanding() int { return len(c.reqs) }
+func (c *Cache) Outstanding() (n int) {
+	for i := range c.reqs {
+		if c.reqs[i].live {
+			n++
+		}
+	}
+	return n
+}
 
 // Store performs a store at cycle now. The L1 is write-through
 // (no-write-allocate), so every store also reaches the L2; L2 write misses

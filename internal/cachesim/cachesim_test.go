@@ -2,20 +2,22 @@ package cachesim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
-// complete drives a load to completion, returning total latency.
+// complete drives a load at lQ index 0 to completion, returning total
+// latency.
 func complete(t *testing.T, c *Cache, addr uint32, now uint64) int {
 	t.Helper()
-	id, d := c.LoadRequest(addr, now)
+	d := c.LoadRequest(0, addr, now)
 	total := d
 	at := now + uint64(d)
 	for i := 0; ; i++ {
 		if i > 10 {
 			t.Fatal("load did not complete within 10 polls")
 		}
-		ready, d := c.LoadPoll(id, at)
+		ready, d := c.LoadPoll(0, at)
 		if ready {
 			return total
 		}
@@ -26,7 +28,7 @@ func complete(t *testing.T, c *Cache, addr uint32, now uint64) int {
 
 func TestColdMissThenHit(t *testing.T) {
 	c := New(DefaultConfig())
-	cfg := c.Config()
+	cfg := DefaultConfig()
 	// Cold: L1 miss + L2 miss -> full memory path.
 	lat := complete(t, c, 0x1000, 0)
 	wantCold := cfg.L1MissLat + cfg.MemLat + cfg.BusBeats
@@ -48,7 +50,7 @@ func TestSameLineDifferentWordHits(t *testing.T) {
 	c := New(DefaultConfig())
 	complete(t, c, 0x2000, 0)
 	lat := complete(t, c, 0x2000+8, 1000) // same 32-byte line
-	if lat != c.Config().L1HitLat {
+	if lat != DefaultConfig().L1HitLat {
 		t.Errorf("same-line latency = %d", lat)
 	}
 }
@@ -80,19 +82,19 @@ func TestIntervalProtocolTwoStage(t *testing.T) {
 	// An L2 miss must be revealed in stages: first the L1-miss interval,
 	// then the memory interval — the paper's two-call example.
 	c := New(DefaultConfig())
-	cfg := c.Config()
-	id, d1 := c.LoadRequest(0x3000, 0)
+	cfg := DefaultConfig()
+	d1 := c.LoadRequest(5, 0x3000, 0)
 	if d1 != cfg.L1MissLat {
 		t.Fatalf("first interval = %d, want %d", d1, cfg.L1MissLat)
 	}
-	ready, d2 := c.LoadPoll(id, uint64(d1))
+	ready, d2 := c.LoadPoll(5, uint64(d1))
 	if ready {
 		t.Fatal("ready too early")
 	}
 	if d2 != cfg.MemLat+cfg.BusBeats {
 		t.Errorf("second interval = %d, want %d", d2, cfg.MemLat+cfg.BusBeats)
 	}
-	ready, _ = c.LoadPoll(id, uint64(d1+d2))
+	ready, _ = c.LoadPoll(5, uint64(d1+d2))
 	if !ready {
 		t.Error("not ready after full wait")
 	}
@@ -100,22 +102,22 @@ func TestIntervalProtocolTwoStage(t *testing.T) {
 
 func TestEarlyPollReturnsRemainder(t *testing.T) {
 	c := New(DefaultConfig())
-	id, d := c.LoadRequest(0x4000, 0)
-	ready, rem := c.LoadPoll(id, uint64(d-3))
+	d := c.LoadRequest(9, 0x4000, 0)
+	ready, rem := c.LoadPoll(9, uint64(d-3))
 	if ready || rem != 3 {
 		t.Errorf("early poll = %v/%d, want false/3", ready, rem)
 	}
-	c.Cancel(id)
+	c.Cancel(9)
 }
 
 func TestBusContentionSerializesMisses(t *testing.T) {
 	// Two simultaneous L2 misses must not overlap on the bus: the second
 	// completes later than the first.
 	c := New(DefaultConfig())
-	id1, d1 := c.LoadRequest(0x10000, 0)
-	id2, d2 := c.LoadRequest(0x20000, 0)
-	_, m1 := c.LoadPoll(id1, uint64(d1))
-	_, m2 := c.LoadPoll(id2, uint64(d2))
+	d1 := c.LoadRequest(1, 0x10000, 0)
+	d2 := c.LoadRequest(2, 0x20000, 0)
+	_, m1 := c.LoadPoll(1, uint64(d1))
+	_, m2 := c.LoadPoll(2, uint64(d2))
 	if d1+m1 >= d2+m2 {
 		t.Errorf("second miss (%d) must finish after first (%d)", d2+m2, d1+m1)
 	}
@@ -131,7 +133,7 @@ func TestMSHRPressureDelaysRequests(t *testing.T) {
 	// longer first interval.
 	var firstDelays []int
 	for i := 0; i < cfg.MSHRs+4; i++ {
-		_, d := c.LoadRequest(uint32(0x100000+i*0x1000), 0)
+		d := c.LoadRequest(i, uint32(0x100000+i*0x1000), 0)
 		firstDelays = append(firstDelays, d)
 	}
 	if firstDelays[0] != cfg.L1MissLat {
@@ -178,15 +180,15 @@ func TestLoadSeesDirtyStoreLineInL2(t *testing.T) {
 
 func TestCancel(t *testing.T) {
 	c := New(DefaultConfig())
-	id, _ := c.LoadRequest(0x7000, 0)
+	c.LoadRequest(300, 0x7000, 0)
 	if c.Outstanding() != 1 {
 		t.Fatal("not outstanding")
 	}
-	c.Cancel(id)
+	c.Cancel(300)
 	if c.Outstanding() != 0 || c.Stats().Cancels != 1 {
 		t.Error("cancel failed")
 	}
-	c.Cancel(id) // double cancel is a no-op
+	c.Cancel(300) // double cancel is a no-op
 	if c.Stats().Cancels != 1 {
 		t.Error("double cancel counted")
 	}
@@ -200,6 +202,117 @@ func TestPollUnknownPanics(t *testing.T) {
 		}
 	}()
 	c.LoadPoll(99, 0)
+}
+
+// refused runs f and returns the RequestError it panics with, failing the
+// test if it does not panic with one.
+func refused(t *testing.T, f func()) (err RequestError) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		var ok bool
+		if err, ok = r.(RequestError); !ok {
+			t.Fatalf("panic value %#v, want a RequestError", r)
+		}
+	}()
+	f()
+	return ""
+}
+
+func TestPollOfAliasedIndexRefused(t *testing.T) {
+	// Index i+256 shares i's slot; a bare masked table would poll i's
+	// request under the wrong name.
+	c := New(DefaultConfig())
+	complete(t, c, 0x1000, 0) // warm the line: the next load hits L1
+	c.LoadRequest(7, 0x1000, 0)
+	err := refused(t, func() { c.LoadPoll(7+tableSize, 100) })
+	if !strings.Contains(string(err), "poll of load 263") {
+		t.Errorf("refusal = %q", err)
+	}
+	if ready, _ := c.LoadPoll(7, 100); !ready || c.Outstanding() != 0 {
+		t.Error("refused poll disturbed the live request")
+	}
+}
+
+func TestIssueIntoLiveSlotRefused(t *testing.T) {
+	c := New(DefaultConfig())
+	complete(t, c, 0x1000, 0) // warm the line: the next load hits L1
+	c.LoadRequest(3, 0x1000, 0)
+	err := refused(t, func() { c.LoadRequest(3+tableSize, 0x2000, 1) })
+	if !strings.Contains(string(err), "slot of live load 3") {
+		t.Errorf("refusal = %q", err)
+	}
+	if c.Outstanding() != 1 || c.Stats().Loads != 2 {
+		t.Errorf("refused issue changed state: outstanding %d, loads %d",
+			c.Outstanding(), c.Stats().Loads)
+	}
+	// Once 3 completes its slot is free for 3+256.
+	if ready, _ := c.LoadPoll(3, 1000); !ready {
+		t.Fatal("load 3 not ready")
+	}
+	c.LoadRequest(3+tableSize, 0x2000, 1000)
+	if c.Outstanding() != 1 {
+		t.Errorf("outstanding = %d, want 1", c.Outstanding())
+	}
+}
+
+func TestReissueReplacesLiveRequest(t *testing.T) {
+	c := New(DefaultConfig())
+	c.LoadRequest(4, 0x1000, 0) // cold: memory path
+	d := c.LoadRequest(4, 0x1000, 0)
+	if c.Outstanding() != 1 {
+		t.Errorf("outstanding = %d, want 1", c.Outstanding())
+	}
+	if want := DefaultConfig().L1MissLat; d != want {
+		t.Errorf("reissue interval = %d, want %d", d, want)
+	}
+}
+
+func TestCancelOfNonLiveIndexNotCounted(t *testing.T) {
+	c := New(DefaultConfig())
+	c.Cancel(12) // never issued
+	c.LoadRequest(12, 0x1000, 0)
+	c.Cancel(12 + tableSize) // same slot, different index
+	if c.Outstanding() != 1 || c.Stats().Cancels != 0 {
+		t.Errorf("outstanding %d, cancels %d; want 1, 0", c.Outstanding(), c.Stats().Cancels)
+	}
+}
+
+// drain is the interval-protocol loop that blocking timing models ran
+// before Access: issue, then poll at each returned interval until ready.
+func drain(c *Cache, addr uint32, now uint64) int {
+	total := c.LoadRequest(0, addr, now)
+	at := now + uint64(total)
+	for {
+		ready, d := c.LoadPoll(0, at)
+		if ready {
+			return total
+		}
+		total += d
+		at += uint64(d)
+	}
+}
+
+func TestAccessMatchesDrainLoop(t *testing.T) {
+	a, b := New(DefaultConfig()), New(DefaultConfig())
+	r := rand.New(rand.NewSource(11))
+	now := uint64(0)
+	for i := 0; i < 5000; i++ {
+		addr := uint32(r.Intn(1<<20)) &^ 3
+		if r.Intn(4) == 0 {
+			a.Store(addr, now)
+			b.Store(addr, now)
+		} else if got, want := a.Access(addr, now), drain(b, addr, now); got != want {
+			t.Fatalf("access %d at %#x: latency %d, drain loop %d", i, addr, got, want)
+		}
+		now += uint64(r.Intn(30))
+	}
+	if a.Stats() != b.Stats() {
+		t.Errorf("stats diverged:\n access %+v\n drain  %+v", a.Stats(), b.Stats())
+	}
+	if a.Outstanding() != 0 {
+		t.Errorf("Access left %d requests outstanding", a.Outstanding())
+	}
 }
 
 func TestDeterminism(t *testing.T) {
@@ -216,11 +329,11 @@ func TestDeterminism(t *testing.T) {
 				c.Store(addr, now)
 			} else {
 				lat := 0
-				id, d := c.LoadRequest(addr, now)
+				d := c.LoadRequest(i, addr, now)
 				lat += d
 				at := now + uint64(d)
 				for {
-					ready, d2 := c.LoadPoll(id, at)
+					ready, d2 := c.LoadPoll(i, at)
 					if ready {
 						break
 					}
@@ -264,13 +377,13 @@ func TestIntervalsMonotoneNonNegative(t *testing.T) {
 	now := uint64(0)
 	for i := 0; i < 5000; i++ {
 		addr := uint32(r.Intn(1<<20)) &^ 3
-		id, d := c.LoadRequest(addr, now)
+		d := c.LoadRequest(i, addr, now)
 		if d < 0 {
 			t.Fatalf("negative interval %d", d)
 		}
 		at := now + uint64(d)
 		for {
-			ready, d2 := c.LoadPoll(id, at)
+			ready, d2 := c.LoadPoll(i, at)
 			if ready {
 				break
 			}

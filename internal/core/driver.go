@@ -34,8 +34,6 @@ type driver struct {
 	lqHead    int // lQ entries retired
 	sqHead    int // sQ entries retired
 
-	liveReqs map[int]int // absolute lQ index -> cache request id
-
 	retiredInsts  uint64
 	retiredLoads  uint64
 	retiredStores uint64
@@ -65,11 +63,10 @@ func (d *driver) registerMetrics(r *obs.Registry) {
 func newDriver(prog *program.Program, cacheCfg cachesim.Config, bp BPredConfig) *driver {
 	pred := bp.build()
 	return &driver{
-		prog:     prog,
-		eng:      direct.New(prog, pred),
-		pred:     pred,
-		cache:    cachesim.New(cacheCfg),
-		liveReqs: make(map[int]int),
+		prog:  prog,
+		eng:   direct.New(prog, pred),
+		pred:  pred,
+		cache: cachesim.New(cacheCfg),
 	}
 }
 
@@ -101,52 +98,34 @@ func (d *driver) NextOutcome() uarch.Outcome {
 	return out
 }
 
-// ensure advances direct execution until the queue position the pipeline is
-// about to touch exists. Fetch can run ahead of direct execution through
-// straight-line code (loads and stores before the next control point), and
-// in FastSim functional execution always leads the timing simulation.
-func (d *driver) ensure(have func() int, want int) {
-	for want >= have() {
-		if d.eng.Halted {
-			d.fail("core: pipeline references queue entry %d past program end", want)
-		}
-		if _, err := d.eng.RunToNextControlPoint(); err != nil {
-			d.fail("core: direct execution: %w", err)
-		}
+// advance runs direct execution to its next control point, because the
+// pipeline is about to touch queue entry want, which does not exist yet:
+// fetch can run ahead of direct execution through straight-line code.
+func (d *driver) advance(want int) {
+	if d.eng.Halted {
+		d.fail("core: pipeline references queue entry %d past program end", want)
+	}
+	if _, err := d.eng.RunToNextControlPoint(); err != nil {
+		d.fail("core: direct execution: %w", err)
 	}
 }
 
 func (d *driver) IssueLoad(lqIdx int, now uint64) int {
-	d.ensure(d.eng.NumLoads, lqIdx)
-	l := d.eng.Load(lqIdx)
-	id, delay := d.cache.LoadRequest(l.Addr, now)
-	d.liveReqs[lqIdx] = id
-	return delay
+	for lqIdx >= d.eng.NumLoads() {
+		d.advance(lqIdx)
+	}
+	return d.cache.LoadRequest(lqIdx, d.eng.Load(lqIdx).Addr, now)
 }
 
-func (d *driver) PollLoad(lqIdx int, now uint64) (bool, int) {
-	id, ok := d.liveReqs[lqIdx]
-	if !ok {
-		d.fail("core: poll of load %d with no live request", lqIdx)
-	}
-	ready, delay := d.cache.LoadPoll(id, now)
-	if ready {
-		delete(d.liveReqs, lqIdx)
-	}
-	return ready, delay
-}
+func (d *driver) PollLoad(lqIdx int, now uint64) (bool, int) { return d.cache.LoadPoll(lqIdx, now) }
 
-func (d *driver) CancelLoad(lqIdx int) {
-	if id, ok := d.liveReqs[lqIdx]; ok {
-		d.cache.Cancel(id)
-		delete(d.liveReqs, lqIdx)
-	}
-}
+func (d *driver) CancelLoad(lqIdx int) { d.cache.Cancel(lqIdx) }
 
 func (d *driver) IssueStore(sqIdx int, now uint64) {
-	d.ensure(d.eng.NumStores, sqIdx)
-	s := d.eng.Store(sqIdx)
-	d.cache.Store(s.Addr, now)
+	for sqIdx >= d.eng.NumStores() {
+		d.advance(sqIdx)
+	}
+	d.cache.Store(d.eng.Store(sqIdx).Addr, now)
 }
 
 func (d *driver) Rollback(recIdx int) (int, int) {
@@ -159,13 +138,9 @@ func (d *driver) Rollback(recIdx int) (int, int) {
 	return rec.LQLen, rec.SQLen
 }
 
-func (d *driver) RetirePop(insts, loads, stores, recs int) {
-	d.ApplyPops(insts, loads, stores, recs)
-}
-
-// ApplyPops advances queue heads after in-order retirement and periodically
+// RetirePop advances queue heads after in-order retirement and periodically
 // releases the consumed queue prefixes back to the direct-execution engine.
-func (d *driver) ApplyPops(insts, loads, stores, recs int) {
+func (d *driver) RetirePop(insts, loads, stores, recs int) {
 	d.retiredInsts += uint64(insts)
 	d.retiredLoads += uint64(loads)
 	d.retiredStores += uint64(stores)

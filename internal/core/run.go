@@ -114,18 +114,7 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (res *Re
 		}()
 	}
 
-	defer func() {
-		if r := recover(); r != nil {
-			switch v := r.(type) {
-			case runError:
-				err = v.err
-			case uarch.Desync:
-				err = fmt.Errorf("core: %w", v)
-			default:
-				panic(r)
-			}
-		}
-	}()
+	defer recoverRun(&err)
 
 	// WallTime starts before the snapshot load, so warm-start overhead is
 	// part of the reported time — a warm-vs-cold comparison stays honest.
@@ -233,6 +222,22 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (res *Re
 
 		WallTime: wall,
 	}, nil
+}
+
+// recoverRun, deferred, turns a deliberate panic from the simulation's call
+// tree into the error *err, and re-raises any other panic.
+func recoverRun(err *error) {
+	switch v := recover().(type) {
+	case nil:
+	case runError:
+		*err = v.err
+	case cachesim.RequestError:
+		*err = fmt.Errorf("core: %w", v)
+	case uarch.Desync:
+		*err = fmt.Errorf("core: %w", v)
+	default:
+		panic(v)
+	}
 }
 
 // errWriter keeps the first error its writer returns and drops every

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"fastsim/internal/asm"
+	"fastsim/internal/cachesim"
 	"fastsim/internal/emulator"
 	"fastsim/internal/memo"
 	"fastsim/internal/minc"
@@ -364,6 +366,40 @@ main:
 	}
 	if _, err := Run(p, fastCfg()); err == nil {
 		t.Error("fast: expected error")
+	}
+}
+
+// strayPoll is a driver whose 50th load poll names an lQ index with no live
+// request — the index 256 above the polled load, which shares its slot —
+// as a corrupted replay chain could.
+type strayPoll struct {
+	*driver
+	polls int
+}
+
+func (d *strayPoll) PollLoad(lqIdx int, now uint64) (bool, int) {
+	if d.polls++; d.polls == 50 {
+		lqIdx += 256
+	}
+	return d.driver.PollLoad(lqIdx, now)
+}
+
+func TestPollOfNonLiveLoadIsRunError(t *testing.T) {
+	prog, err := testprog.Build(1, testprog.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	drv := &strayPoll{driver: newDriver(prog, cfg.Cache, cfg.BPred)}
+	eng := memo.NewEngine(prog, cfg.Uarch, drv, cfg.Memo)
+	func() {
+		defer recoverRun(&err)
+		_, err = eng.Run(defaultMaxCycles)
+	}()
+	var refused cachesim.RequestError
+	if !errors.As(err, &refused) || !strings.HasPrefix(err.Error(), "core: poll of load ") ||
+		!strings.HasSuffix(err.Error(), " with no live request") {
+		t.Fatalf("run error = %v, want a refused poll", err)
 	}
 }
 

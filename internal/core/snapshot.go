@@ -110,14 +110,7 @@ func loadSnapshot(eng *memo.Engine, prog *program.Program, cfg *Config, st *Snap
 		// where replay's structural guards and shadow verification must
 		// quarantine them.
 		memo.InjectGraphFaults(&img.Graph, cfg.FaultInject)
-		// The budget is a hard bound from the first byte: a cache larger
-		// than it is never imported, since the guard reclaims only at the
-		// first episode boundary.
-		if n, b := img.Graph.Footprint(), cfg.Memo.Budget; b > 0 && n > b {
-			err = fmt.Errorf("snapshot needs %d bytes, over the %d-byte memo budget", n, b)
-		} else {
-			err = eng.Cache.ImportGraph(&img.Graph)
-		}
+		err = importWarm(eng, &img.Graph, cfg.Memo.Budget)
 	}
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {

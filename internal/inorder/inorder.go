@@ -112,7 +112,7 @@ func Run(prog *program.Program, p Params, cacheCfg cachesim.Config, maxCycles ui
 			// Blocking-on-use cache: the result is ready after the full
 			// (possibly multi-interval) access completes.
 			addr := st.R[inst.Rs1] + uint32(inst.Imm)
-			lat += cacheLatency(cache, addr, issue+1)
+			lat += uint64(cache.Access(addr, issue+1))
 		case isa.ClassStore:
 			addr := st.R[inst.Rs1] + uint32(inst.Imm)
 			cache.Store(addr, issue+1)
@@ -151,19 +151,4 @@ func Run(prog *program.Program, p Params, cacheCfg cachesim.Config, maxCycles ui
 		Cache:       cache.Stats(),
 		WallTime:    time.Since(start),
 	}, nil
-}
-
-// cacheLatency drains the interval protocol into one blocking latency.
-func cacheLatency(c *cachesim.Cache, addr uint32, now uint64) uint64 {
-	id, d := c.LoadRequest(addr, now)
-	total := uint64(d)
-	at := now + uint64(d)
-	for {
-		ready, d2 := c.LoadPoll(id, at)
-		if ready {
-			return total
-		}
-		total += uint64(d2)
-		at += uint64(d2)
-	}
 }

@@ -39,7 +39,7 @@ func buildSnapshot(t *testing.T) (string, *core.Result) {
 
 // TestSnapshotReportMatchesRun: the inspector's config/action totals must
 // equal what the run reported saving — the same identity the CI gate checks
-// against BENCH_4.json at full scale.
+// against testdata/bench_smoke.json at full scale.
 func TestSnapshotReportMatchesRun(t *testing.T) {
 	path, res := buildSnapshot(t)
 	img, err := snapshot.Inspect(path)

@@ -16,17 +16,13 @@ import (
 // µ-architecture simulator: the direct-execution engine, cache simulator
 // and queue-head bookkeeping, as wired up by the core package. During
 // detailed simulation the pipeline calls it through the recording wrapper;
-// during fast-forwarding the replayer calls it directly.
+// during fast-forwarding the replayer calls it directly, RetirePop included.
 type Driver interface {
 	uarch.Env
 
 	// Heads returns the current absolute queue-head positions (records,
 	// lQ entries, sQ entries popped so far).
 	Heads() uarch.Heads
-
-	// ApplyPops advances the queue heads and retirement statistics — the
-	// replay-side equivalent of RetirePop.
-	ApplyPops(insts, loads, stores, recs int)
 }
 
 // outcomeLabel encodes a control outcome as an action-edge label: the four
@@ -603,7 +599,7 @@ const replayCancelMask = 4095
 // retired instructions are attributed to replay.
 func (e *Engine) commit(adv *action) {
 	e.now += uint64(adv.cycles)
-	e.drv.ApplyPops(int(adv.insts), int(adv.loads), int(adv.stores), int(adv.recs))
+	e.drv.RetirePop(int(adv.insts), int(adv.loads), int(adv.stores), int(adv.recs))
 	s := &e.Cache.stats
 	s.EpisodesReplay++
 	s.ReplayCycles += uint64(adv.cycles)

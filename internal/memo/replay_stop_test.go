@@ -25,10 +25,9 @@ func (d *stubDriver) PollLoad(lqIdx int, now uint64) (bool, int) { return true, 
 func (d *stubDriver) IssueStore(sqIdx int, now uint64)           {}
 func (d *stubDriver) CancelLoad(lqIdx int)                       {}
 func (d *stubDriver) Rollback(recIdx int) (int, int)             { return 0, 0 }
-func (d *stubDriver) RetirePop(insts, loads, stores, recs int)   {}
 func (d *stubDriver) HaltRetired()                               {}
 func (d *stubDriver) Heads() uarch.Heads                         { return d.heads }
-func (d *stubDriver) ApplyPops(insts, loads, stores, recs int) {
+func (d *stubDriver) RetirePop(insts, loads, stores, recs int) {
 	d.pops = append(d.pops, [4]int{insts, loads, stores, recs})
 }
 
@@ -46,10 +45,9 @@ func (d *benchDriver) PollLoad(lqIdx int, now uint64) (bool, int) { return true,
 func (d *benchDriver) IssueStore(sqIdx int, now uint64)           {}
 func (d *benchDriver) CancelLoad(lqIdx int)                       {}
 func (d *benchDriver) Rollback(recIdx int) (int, int)             { return 0, 0 }
-func (d *benchDriver) RetirePop(insts, loads, stores, recs int)   {}
+func (d *benchDriver) RetirePop(insts, loads, stores, recs int)   { d.pops++ }
 func (d *benchDriver) HaltRetired()                               {}
 func (d *benchDriver) Heads() uarch.Heads                         { return d.heads }
-func (d *benchDriver) ApplyPops(insts, loads, stores, recs int)   { d.pops++ }
 
 func newStubEngine() (*Engine, *stubDriver) {
 	d := &stubDriver{}

@@ -275,8 +275,10 @@ func (s *sim) issue() {
 				continue
 			}
 			addrSlots--
-			if e.isLoad {
-				lat += s.loadLatency(e)
+			if e.isLoad && e.bogus {
+				lat += 2 // wrong-path loads do not access simulated memory
+			} else if e.isLoad {
+				lat += s.cache.Access(e.addr, s.cycle)
 			}
 		default:
 			// direct jumps: complete immediately
@@ -299,25 +301,6 @@ func (s *sim) loadBlocked(k int) bool {
 		}
 	}
 	return false
-}
-
-// loadLatency consults the cache model synchronously, draining the interval
-// protocol into a single latency figure.
-func (s *sim) loadLatency(e *entry) int {
-	if e.bogus {
-		return 2 // wrong-path loads do not access simulated memory
-	}
-	id, d := s.cache.LoadRequest(e.addr, s.cycle)
-	total := d
-	at := s.cycle + uint64(d)
-	for {
-		ready, d2 := s.cache.LoadPoll(id, at)
-		if ready {
-			return total
-		}
-		total += d2
-		at += uint64(d2)
-	}
 }
 
 // recover squashes everything younger than the mispredicted branch at RUU

@@ -570,7 +570,6 @@ func (s *Server) worker() {
 
 		s.mu.Lock()
 		s.running--
-		s.memInUse -= job.charge
 		s.mu.Unlock()
 		s.cond.Broadcast()
 	}
@@ -699,7 +698,9 @@ func (s *Server) simulate(ctx context.Context, prog *program.Program, cfg core.C
 	return s.runSim(ctx, prog, cfg)
 }
 
-// finish moves the job to its terminal state and updates the counters.
+// finish moves the job to its terminal state, releases its memory charge
+// and updates the counters, all before done closes, so a waiter's Stats
+// already reflect the finished job.
 func (s *Server) finish(job *Job, st State, code Code, msg string, res *core.Result) {
 	job.mu.Lock()
 	job.state = st
@@ -713,9 +714,9 @@ func (s *Server) finish(job *Job, st State, code Code, msg string, res *core.Res
 	if job.stopAfter != nil {
 		job.stopAfter()
 	}
-	close(job.done)
 
 	s.mu.Lock()
+	s.memInUse -= job.charge
 	switch st {
 	case StateDone:
 		s.counters.completed++
@@ -725,6 +726,7 @@ func (s *Server) finish(job *Job, st State, code Code, msg string, res *core.Res
 		s.counters.cancelled++
 	}
 	s.mu.Unlock()
+	close(job.done)
 }
 
 // Drain stops admission and waits for the queue and running jobs to

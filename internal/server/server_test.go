@@ -629,4 +629,46 @@ func TestSharedCacheAcrossJobs(t *testing.T) {
 	if cv.State != StateDone || cv.Digest != fv.Digest {
 		t.Errorf("clean follower = %s digest %s, want done with %s", cv.State, cv.Digest, fv.Digest)
 	}
+
+	// A tenant whose memo budget the published graph exceeds must start
+	// cold and stay within its budget, and its smaller graph must not
+	// replace the published one: the next unbudgeted tenant still warms
+	// from the full graph.
+	published := s.Stats().Shared.Actions
+	tight := quickSpec()
+	tight.MemoBudget = resultOf(follower).Memo.PeakBytes / 2
+	tj, err := s.Submit(tight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := s.Submit(quickSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tv2, av := mustWait(t, tj), mustWait(t, after)
+	if tv2.State != StateDone || tv2.Digest != fv.Digest || tv2.Result.Warmed {
+		t.Errorf("over-budget tenant = %s digest %s warmed %v, want done cold with %s",
+			tv2.State, tv2.Digest, tv2.Result != nil && tv2.Result.Warmed, fv.Digest)
+	}
+	tr := resultOf(tj)
+	if tr.Memo.PeakBytes > tight.MemoBudget {
+		t.Errorf("over-budget tenant peaked at %d bytes, budget %d", tr.Memo.PeakBytes, tight.MemoBudget)
+	}
+	if !strings.Contains(tr.Shared.Warning, "memo budget") || tr.Shared.Published {
+		t.Errorf("over-budget tenant shared status = %+v", tr.Shared)
+	}
+	if av.State != StateDone || av.Digest != fv.Digest {
+		t.Fatalf("tenant after the over-budget one = %s digest %s, want done with %s", av.State, av.Digest, fv.Digest)
+	}
+	if ar := resultOf(after); !ar.Shared.Warmed || ar.Shared.WarmActions != published {
+		t.Errorf("tenant after the over-budget one warmed %v from %d actions, want the full %d",
+			ar.Shared.Warmed, ar.Shared.WarmActions, published)
+	}
+}
+
+// resultOf returns a finished job's full Result.
+func resultOf(j *Job) *core.Result {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.result
 }
