@@ -214,8 +214,10 @@ func BenchmarkAblationPolicies(b *testing.B) {
 // hook — the configuration every other benchmark measures), "cycles"
 // attaches an Observer whose only sink is a cycle-timebase span trace
 // streamed to io.Discard. The off/on ns/op ratio bounds what -span-trace
-// costs; CI checks that the off figures equal a plain run's, whose
-// allocs/op and B/op it gates against testdata/bench_smoke.json.
+// costs. CI runs "off" and BenchmarkTable2/099.go/FastSim three times each
+// in one GOGC=off process and requires one allocs/op figure across all six;
+// it gates that plain run's allocs/op and B/op against
+// testdata/bench_smoke.json.
 func BenchmarkTracerOverhead(b *testing.B) {
 	const wl = "099.go"
 	b.Run("off", func(b *testing.B) {

@@ -139,14 +139,6 @@ func main() {
 				cfg.Memo.VerifyRate = 1
 			}
 		}
-		if *trace != "" {
-			f, err := os.Create(*trace)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			cfg.Trace = f
-		}
 		if *dot != "" {
 			f, err := os.Create(*dot)
 			if err != nil {
@@ -170,6 +162,14 @@ func main() {
 			}
 			defer f.Close()
 			opt.SpanW = f
+		}
+		if *trace != "" {
+			f, err := os.Create(*trace)
+			if err != nil {
+				fatal(err)
+			}
+			defer f.Close()
+			opt.PipetraceW = f
 		}
 		if *sample != "" {
 			f, err := os.Create(*sample)
@@ -207,7 +207,7 @@ func main() {
 			defer srv.Close()
 			fmt.Fprintf(os.Stderr, "fastsim: debug server on http://%s/\n", srv.Addr())
 		}
-		if *spanOut != "" || *sample != "" || *events != "" || *progress || *debug != "" {
+		if *trace != "" || *spanOut != "" || *sample != "" || *events != "" || *progress || *debug != "" {
 			cfg.Observer = fastsim.NewObserver(opt)
 		}
 		res, err := fastsim.Run(prog, fastsim.WithConfig(cfg))

@@ -36,8 +36,8 @@
 // Option (see docs/API.md for ordering rules and the full catalog).
 // Callers holding a fully built Config pass it through fastsim.WithConfig.
 //
-// Observe a run — metrics, a JSONL event stream, a Perfetto span trace —
-// by attaching one Observer. Every occurrence is reported once to each
+// Observe a run — metrics, a JSONL event stream, a Perfetto span trace, a
+// pipetrace — by attaching one Observer. Every occurrence is reported once to each
 // sink; the layer is read-only, so the Result is unchanged, and the run
 // owns the Observer, returning a sink's write failure as its error:
 //
@@ -167,7 +167,7 @@ type Workload = workloads.Workload
 
 // Observer is the simulator-wide observability layer: a metrics registry,
 // an interval time-series sampler, a structured JSONL event stream, a span
-// trace loadable in Perfetto, and a wall-clock progress heartbeat. Attach one via Config.Observer; it is
+// trace loadable in Perfetto, a pipetrace, and a wall-clock progress heartbeat. Attach one via Config.Observer; it is
 // strictly read-only, so Result is bit-identical with or without it — on
 // FastSim and SlowSim alike. A nil Observer costs one pointer check per
 // hook. See docs/OBSERVABILITY.md.

@@ -29,21 +29,13 @@ type Config struct {
 	Memoize bool         // enable fast-forwarding (FastSim vs SlowSim)
 	Memo    memo.Options // p-action cache policy and size limit
 
-	// Trace receives a pipetrace line per cycle (uarch.TextTracer). With
-	// Memoize off every cycle is simulated in detail and traced; with
-	// Memoize on the trace is episode-granular: recorded (detailed)
-	// cycles get per-cycle lines and each fast-forward chain is
-	// summarized by a single marker line, since replayed cycles are never
-	// re-simulated.
-	Trace io.Writer
-
 	// Observer, when non-nil, attaches the observability layer: a metrics
 	// registry every component registers into, an interval time-series
-	// sampler, a structured event stream, a span trace and a progress
-	// heartbeat. It is strictly read-only — Result is bit-identical with or
-	// without it. The run owns it from here on: Run closes it on every
-	// path, and a sink write failure on an otherwise successful run
-	// surfaces as the run error.
+	// sampler, a structured event stream, a span trace, a pipetrace and a
+	// progress heartbeat. It is strictly read-only — Result is
+	// bit-identical with or without it. The run owns it from here on: Run
+	// closes it on every path, and a sink write failure on an otherwise
+	// successful run surfaces as the run error.
 	Observer *obs.Observer
 
 	// MemoGraphDot, when non-nil, receives the final p-action graph in

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -31,23 +33,54 @@ func goldenProgram(t *testing.T) *program.Program {
 	return p
 }
 
-// observedRun runs p with an event stream and a cycle-timebase span trace
-// attached and returns both byte streams.
-func observedRun(t *testing.T, p *program.Program, cfg Config) (events, spans []byte) {
+// observedRun runs p with an event stream, a cycle-timebase span trace and
+// a pipetrace attached and returns the three byte streams.
+func observedRun(t *testing.T, p *program.Program, cfg Config) (events, spans, pipe []byte) {
 	t.Helper()
-	var ev, sp bytes.Buffer
-	cfg.Observer = obs.New(obs.Options{EventW: &ev, SpanW: &sp})
+	var ev, sp, pt bytes.Buffer
+	cfg.Observer = obs.New(obs.Options{EventW: &ev, SpanW: &sp, PipetraceW: &pt})
 	if _, err := Run(p, cfg); err != nil {
 		t.Fatal(err)
 	}
-	return ev.Bytes(), sp.Bytes()
+	return ev.Bytes(), sp.Bytes(), pt.Bytes()
+}
+
+// pipetraceMarker starts the body of a fast-forward marker line.
+const pipetraceMarker = "| fast-forward from cycle "
+
+// pipetraceSum is one config's line of testdata/golden/pipetrace.sum: the
+// pipetrace's line count, fast-forward marker count and SHA-256. Full text
+// goldens would run to over a megabyte across the seven configs.
+func pipetraceSum(name string, pipe []byte) (line string, markers int) {
+	markers = bytes.Count(pipe, []byte(pipetraceMarker))
+	return fmt.Sprintf("%s lines=%d markers=%d sha256=%x\n",
+		name, bytes.Count(pipe, []byte("\n")), markers, sha256.Sum256(pipe)), markers
+}
+
+// replayedChains counts the replay_end events of an event stream that
+// replayed at least one action: each is one pipetrace marker line.
+func replayedChains(t *testing.T, events []byte) int {
+	t.Helper()
+	n := 0
+	dec := json.NewDecoder(bytes.NewReader(events))
+	for dec.More() {
+		var e obs.Event
+		if err := dec.Decode(&e); err != nil {
+			t.Fatalf("event decode: %v", err)
+		}
+		if e.Type == obs.EvReplayEnd && e.Actions > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // TestObservabilityGoldens pins the JSONL event stream and the
-// cycle-timebase span trace byte for byte on a fixed set of runs that
+// cycle-timebase span trace byte for byte, and the pipetrace by its
+// checksum line in pipetrace.sum, on a fixed set of runs that
 // together reach the flush and generational policies, the robustness layer
 // (quarantine, guard, verify and degraded episodes), snapshot IO and
-// SlowSim. Any change to either wire format, or to which occurrences are
+// SlowSim. Any change to a wire format, or to which occurrences are
 // reported, shows up as a golden diff; regenerate deliberately with
 // `go test ./internal/core -run ObservabilityGoldens -update`.
 func TestObservabilityGoldens(t *testing.T) {
@@ -114,9 +147,15 @@ func TestObservabilityGoldens(t *testing.T) {
 	}
 
 	var all [][]byte
+	var sums strings.Builder
 	total := 0
 	for _, tc := range cases {
-		events, spans := observedRun(t, p, tc.cfg())
+		events, spans, pipe := observedRun(t, p, tc.cfg())
+		sum, markers := pipetraceSum(tc.name, pipe)
+		sums.WriteString(sum)
+		if chains := replayedChains(t, events); markers != chains {
+			t.Errorf("%s: %d pipetrace markers, want one per replay_end with actions > 0 (%d)", tc.name, markers, chains)
+		}
 		for _, f := range []struct {
 			ext  string
 			data []byte
@@ -141,6 +180,16 @@ func TestObservabilityGoldens(t *testing.T) {
 				t.Errorf("%s: output differs from the golden (%d bytes, want %d)", path, len(f.data), len(want))
 			}
 		}
+	}
+	sumPath := filepath.Join("testdata", "golden", "pipetrace.sum")
+	if *updateGolden {
+		if err := os.WriteFile(sumPath, []byte(sums.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if want, err := os.ReadFile(sumPath); err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	} else if sums.String() != string(want) {
+		t.Errorf("%s: pipetrace differs from the golden\ngot:\n%swant:\n%s", sumPath, sums.String(), want)
 	}
 	if total > 200<<10 {
 		t.Errorf("goldens total %d bytes; keep them under 200 KB", total)

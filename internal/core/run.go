@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"fastsim/internal/cachesim"
@@ -102,17 +101,6 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (res *Re
 			}
 		}()
 	}
-	if cfg.Trace != nil {
-		// Both engines write the pipetrace through tw; a write failure,
-		// like a sink failure above, fails a run that otherwise succeeded.
-		tw := &errWriter{w: cfg.Trace}
-		cfg.Trace = tw
-		defer func() {
-			if tw.err != nil && err == nil {
-				res, err = nil, fmt.Errorf("core: trace: %w", tw.err)
-			}
-		}()
-	}
 
 	defer recoverRun(&err)
 
@@ -129,7 +117,6 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (res *Re
 		}
 		eng := memo.NewEngine(prog, cfg.Uarch, drv, cfg.Memo)
 		eng.Obs = o
-		eng.TraceW = cfg.Trace
 		if ctx.Done() != nil {
 			eng.Cancel = func() error { return ctx.Err() }
 		}
@@ -167,9 +154,7 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (res *Re
 		if perr != nil {
 			return nil, perr
 		}
-		if cfg.Trace != nil {
-			pl.Tracer = uarch.NewTextTracer(cfg.Trace)
-		}
+		pl.Obs = o
 		if o != nil {
 			pl.RegisterMetrics(o.Metrics())
 		}
@@ -238,22 +223,6 @@ func recoverRun(err *error) {
 	default:
 		panic(v)
 	}
-}
-
-// errWriter keeps the first error its writer returns and drops every
-// later write, so a failed trace costs one failed write, not one per line.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (ew *errWriter) Write(p []byte) (int, error) {
-	if ew.err != nil {
-		return 0, ew.err
-	}
-	n, err := ew.w.Write(p)
-	ew.err = err
-	return n, err
 }
 
 // slowSimCancelMask amortizes SlowSim's cancellation polls to once per

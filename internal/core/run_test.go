@@ -10,6 +10,7 @@ import (
 	"fastsim/internal/emulator"
 	"fastsim/internal/memo"
 	"fastsim/internal/minc"
+	"fastsim/internal/obs"
 	"fastsim/internal/program"
 	"fastsim/internal/testprog"
 )
@@ -434,7 +435,7 @@ main:
 `)
 	var buf strings.Builder
 	cfg := slowCfg()
-	cfg.Trace = &buf
+	cfg.Observer = obs.New(obs.Options{PipetraceW: &buf})
 	if _, err := Run(p, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +462,7 @@ loop:
 `)
 	var fbuf strings.Builder
 	cfg = fastCfg()
-	cfg.Trace = &fbuf
+	cfg.Observer = obs.New(obs.Options{PipetraceW: &fbuf})
 	res, err := Run(p2, cfg)
 	if err != nil {
 		t.Fatalf("trace + memoize: %v", err)

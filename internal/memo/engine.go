@@ -2,7 +2,6 @@ package memo
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 
 	"fastsim/internal/direct"
@@ -76,12 +75,6 @@ type Engine struct {
 	// episode-boundary samples; set it before Run. It is read-only: the
 	// Result is bit-identical with or without it.
 	Obs *obs.Observer
-	// TraceW, when non-nil, enables the memo-aware trace mode: detailed
-	// (recording) cycles get the usual per-cycle pipetrace lines, and each
-	// fast-forward chain is summarized with a single marker line —
-	// fast-forwarded cycles are replayed, never re-simulated, so there is
-	// no per-cycle pipeline state to print for them.
-	TraceW io.Writer
 	// Cancel, when non-nil, is polled at episode boundaries (amortized by
 	// cancelMask); a non-nil result aborts the run with that error. The
 	// core layer wires context.Context.Err through it.
@@ -90,9 +83,7 @@ type Engine struct {
 	now    uint64
 	halted bool
 
-	tracer        uarch.Tracer
 	pl            *uarch.Pipeline // current detailed pipeline (the pipeline gauges read it)
-	ffStart       uint64          // cycle at which the current fast-forward chain began
 	chainEpisodes uint64          // episodes replayed in the current chain
 
 	keyBuf     []byte
@@ -166,9 +157,6 @@ func (e *Engine) Run(maxCycles uint64) (cycles uint64, err error) {
 		reg.Gauge(obs.MetricGuardLevel, func() float64 { return float64(e.guard) })
 		reg.Gauge(obs.MetricGuardBudgetBytes, func() float64 { return float64(e.Cache.opts.Budget) })
 		reg.Gauge(obs.MetricGuardDegraded, func() float64 { return float64(e.Cache.stats.DegradedEpisodes) })
-	}
-	if e.TraceW != nil {
-		e.tracer = uarch.NewTextTracer(e.TraceW)
 	}
 	pl, err := uarch.New(e.params, e.prog, nil, e.prog.Entry)
 	if err != nil {
@@ -398,9 +386,10 @@ func (e *Engine) guardCheck() guardLevel {
 
 // observePipeline makes a freshly built detailed pipeline (the initial
 // one, and each reconstruction after a replay stop) the engine's current
-// one and attaches the trace sink to it.
+// one and attaches the Observer to it, so its detailed cycles reach the
+// pipetrace sink.
 func (e *Engine) observePipeline(pl *uarch.Pipeline) {
-	pl.Tracer = e.tracer
+	pl.Obs = e.Obs
 	e.pl = pl
 }
 
@@ -424,7 +413,6 @@ func (e *Engine) cancelled() error {
 func (e *Engine) beginChain() {
 	e.chain = 0
 	e.chainEpisodes = 0
-	e.ffStart = e.now
 	e.Obs.ReplayBegin(e.now)
 }
 
@@ -437,11 +425,6 @@ func (e *Engine) endChain() {
 	}
 	s.ChainHist.Add(e.chain)
 	e.Obs.ReplayEnd(e.now, e.chainEpisodes, e.chain)
-	if e.TraceW != nil && e.chain > 0 {
-		// TraceW keeps its own first error (core wraps Config.Trace).
-		fmt.Fprintf(e.TraceW, "%8d | fast-forward from cycle %d: %d episodes, %d actions replayed\n",
-			e.now, e.ffStart, e.chainEpisodes, e.chain)
-	}
 	e.chain = 0
 }
 

@@ -147,6 +147,9 @@ func (o *Observer) ReplayBegin(cycle uint64) {
 	if o.spans != nil {
 		o.spans.push("replay", "", cycle)
 	}
+	if o.pipe != nil {
+		o.pipe.ffStart = cycle
+	}
 }
 
 // ReplayEnd reports the end of a fast-forward chain with the chain's
@@ -163,6 +166,19 @@ func (o *Observer) ReplayEnd(cycle, episodes, actions uint64) {
 		s.argU("actions", actions)
 		s.argEnd()
 	}
+	if o.pipe != nil && actions > 0 {
+		o.pipe.chain(cycle, episodes, actions)
+	}
+}
+
+// DetailedCycle reports the end of one detailed-simulation cycle: now is
+// the cycle just completed and v the pipeline that simulated it. Only the
+// pipetrace sink reads it.
+func (o *Observer) DetailedCycle(now uint64, v PipetraceView) {
+	if o == nil || o.pipe == nil {
+		return
+	}
+	o.pipe.cycle(now, v)
 }
 
 // PActionLimit reports the p-action cache exceeding its size limit,

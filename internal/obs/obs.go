@@ -4,8 +4,9 @@
 // row every N simulated cycles; a structured JSONL event stream for the
 // discrete occurrences worth knowing about (episode recording and replay,
 // p-action cache flushes and collections, rollbacks, checkpoint stalls);
-// a hierarchical span trace in the Chrome trace-event format; and a
-// wall-clock progress heartbeat for long runs. Each occurrence is reported
+// a hierarchical span trace in the Chrome trace-event format; a
+// sim-outorder-style pipetrace of detailed cycles; and a wall-clock
+// progress heartbeat for long runs. Each occurrence is reported
 // through one Observer hook, which fans out to whichever sinks are attached.
 //
 // Observability is strictly read-only: it never feeds anything back into
@@ -50,6 +51,11 @@ type Options struct {
 	SpanW    io.Writer
 	Timebase Timebase
 
+	// PipetraceW receives the pipetrace: one line per detailed cycle (every
+	// cycle under SlowSim) and one marker line per fast-forward chain that
+	// replayed at least one action.
+	PipetraceW io.Writer
+
 	// ProgressW receives a human-readable heartbeat line every
 	// ProgressEvery of wall-clock time (0 selects one second).
 	ProgressW     io.Writer
@@ -72,6 +78,7 @@ type Observer struct {
 	sampler *sampler
 	events  *eventSink
 	spans   *spanSink
+	pipe    *pipetraceSink
 	hb      *heartbeat
 
 	pub         *Published
@@ -108,6 +115,11 @@ func New(opt Options) *Observer {
 		bw := bufio.NewWriter(opt.SpanW)
 		o.flushers = append(o.flushers, bw)
 		o.spans = newSpanSink(bw, opt.Timebase)
+	}
+	if opt.PipetraceW != nil {
+		bw := bufio.NewWriter(opt.PipetraceW)
+		o.flushers = append(o.flushers, bw)
+		o.pipe = &pipetraceSink{bw: bw}
 	}
 	if opt.ProgressW != nil {
 		every := opt.ProgressEvery
@@ -222,7 +234,7 @@ func (o *Observer) Finish(now uint64) error {
 
 // Close stops the heartbeat goroutine, terminates the span trace and
 // flushes buffered output. It returns the first write error of the sample,
-// event and span sinks, so a truncated stream is never silent; the
+// event, span and pipetrace sinks, so a truncated stream is never silent; the
 // heartbeat stays best-effort. Close is idempotent (later calls return the
 // same error) and safe on error paths that never reached Finish.
 func (o *Observer) Close() error {

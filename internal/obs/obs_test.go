@@ -254,6 +254,7 @@ func TestNilObserverZeroAlloc(t *testing.T) {
 		o.Quarantine(4, "r", 1, 0)
 		o.Guard(4, "normal", 0)
 		o.Shared(4, "publish", 0, 0, 0, 0)
+		o.DetailedCycle(4, nil)
 		o.Metrics().Value(MetricCycle)
 		_ = o.Now()
 		_ = o.Finish(5)
@@ -312,14 +313,16 @@ func (w failWriter) Write([]byte) (int, error) { return 0, w.err }
 func TestCloseReportsWriteError(t *testing.T) {
 	boom := errors.New("disk full")
 	for name, opt := range map[string]Options{
-		"sample": {SampleW: failWriter{boom}},
-		"events": {EventW: failWriter{boom}},
-		"spans":  {SpanW: failWriter{boom}},
+		"sample":    {SampleW: failWriter{boom}},
+		"events":    {EventW: failWriter{boom}},
+		"spans":     {SpanW: failWriter{boom}},
+		"pipetrace": {PipetraceW: failWriter{boom}},
 	} {
 		o := New(opt)
 		o.Begin("p", func() uint64 { return 0 })
 		o.RecordBegin(SpanRecord, 1)
 		o.RecordEnd(2, 1, 1)
+		o.DetailedCycle(2, &fakePipeline{})
 		if err := o.Finish(2); !errors.Is(err, boom) {
 			t.Errorf("%s: Finish = %v, want %v", name, err, boom)
 		}

@@ -85,9 +85,9 @@ type Pipeline struct {
 	Prog *program.Program
 	Env  Env
 
-	// Tracer, when non-nil, observes every simulated cycle (detailed
-	// simulation only; see the Tracer docs).
-	Tracer Tracer
+	// Obs, when non-nil, is told of every simulated cycle (DetailedCycle)
+	// for its pipetrace sink.
+	Obs *obs.Observer
 
 	Now uint64 // current cycle
 
@@ -115,9 +115,9 @@ func (pl *Pipeline) Done() bool { return pl.done }
 func (pl *Pipeline) Entries() []Entry { return pl.iq }
 
 // RegisterMetrics publishes pipeline gauges into the observability
-// registry. Under memoization the detailed pipeline is rebuilt at every
-// replay stop; re-registering simply repoints the gauges at the live
-// instance.
+// registry. SlowSim calls it on its one pipeline; the memo engine, which
+// rebuilds the pipeline at every replay stop, registers its own gauges once
+// that follow the live instance.
 func (pl *Pipeline) RegisterMetrics(r *obs.Registry) {
 	r.Gauge(obs.MetricIQDepth, func() float64 { return float64(len(pl.iq)) })
 	r.Gauge(obs.MetricUarchCycle, func() float64 { return float64(pl.Now) })
@@ -137,8 +137,8 @@ func (pl *Pipeline) Step() {
 		pl.decode()
 		pl.fetch()
 	}
-	if pl.Tracer != nil {
-		pl.Tracer.Cycle(pl.Now, pl.iq)
+	if pl.Obs != nil {
+		pl.Obs.DetailedCycle(pl.Now, pl)
 	}
 	pl.Now++
 }

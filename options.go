@@ -70,17 +70,11 @@ func WithBPred(b core.BPredConfig) Option {
 }
 
 // WithObserver attaches the observability layer (metrics, sampler, events,
-// span trace, heartbeat); it is read-only, so the Result is unchanged by
-// it. The run closes the Observer, and a sink write failure on an otherwise
-// successful run becomes the run error.
+// span trace, pipetrace, heartbeat); it is read-only, so the Result is
+// unchanged by it. The run closes the Observer, and a sink write failure
+// on an otherwise successful run becomes the run error.
 func WithObserver(o *Observer) Option {
 	return func(c *Config) { c.Observer = o }
-}
-
-// WithTrace streams a pipetrace to w: per-cycle lines for detailed cycles
-// and one marker line per fast-forward chain (see Config.Trace).
-func WithTrace(w io.Writer) Option {
-	return func(c *Config) { c.Trace = w }
 }
 
 // WithMemoGraphDot writes the final p-action graph in Graphviz DOT format
