@@ -431,12 +431,6 @@ func (e *Engine) Rollback(recIdx int) error {
 	return nil
 }
 
-// ResolveCorrect discards the checkpoint bookkeeping for a branch that the
-// µ-architecture resolved as correctly predicted. Correctly predicted
-// branches never checkpoint, so this is a no-op kept for interface
-// symmetry; it exists so the driver's resolution path is explicit.
-func (e *Engine) ResolveCorrect(recIdx int) {}
-
 // NumLoads returns the absolute number of lQ entries ever recorded (and not
 // rolled back); entry indices are absolute and stable across Trim.
 func (e *Engine) NumLoads() int { return e.lqBase + len(e.lq) }

@@ -140,7 +140,8 @@ func Reconstruct(p Params, prog *program.Program, env Env, key []byte, now uint6
 		return v, nil
 	}
 
-	recs, loads, stores := heads.Rec, heads.LQ, heads.SQ
+	recs := heads.Rec
+	pl.fetchLQ, pl.fetchSQ = heads.LQ, heads.SQ
 	pc := uint32(0)
 	if count > 0 {
 		if pc, err = rdU32(); err != nil {
@@ -157,14 +158,11 @@ func Reconstruct(p Params, prog *program.Program, env Env, key []byte, now uint6
 		if !ok {
 			return nil, fmt.Errorf("uarch: configuration references invalid pc %#x", pc)
 		}
-		e := Entry{
-			PC: pc, Inst: inst, Class: inst.Class(),
-			Stage:   Stage(w >> 13),
-			Taken:   w&(1<<12) != 0,
-			Mispred: w&(1<<11) != 0,
-			Timer:   uint32(w & timerEscape),
-			RecIdx:  -1, LQIdx: -1, SQIdx: -1,
-		}
+		e := pl.newEntry(pc, inst)
+		e.Stage = Stage(w >> 13)
+		e.Taken = w&(1<<12) != 0
+		e.Mispred = w&(1<<11) != 0
+		e.Timer = uint32(w & timerEscape)
 		if e.Stage >= numStages {
 			return nil, fmt.Errorf("uarch: bad stage %d in configuration", e.Stage)
 		}
@@ -182,22 +180,12 @@ func Reconstruct(p Params, prog *program.Program, env Env, key []byte, now uint6
 			e.RecIdx = recs
 			recs++
 		}
-		switch e.Class {
-		case isa.ClassLoad:
-			e.LQIdx = loads
-			loads++
-		case isa.ClassStore:
-			e.SQIdx = stores
-			stores++
-		}
 		pl.iq = append(pl.iq, e)
 		pc = successorPC(&e)
 	}
 	if pos != len(key) {
 		return nil, fmt.Errorf("uarch: %d trailing bytes in configuration", len(key)-pos)
 	}
-	pl.fetchLQ = loads
-	pl.fetchSQ = stores
 	return pl, nil
 }
 

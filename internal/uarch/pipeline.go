@@ -105,7 +105,8 @@ func New(p Params, prog *program.Program, env Env, startPC uint32) (*Pipeline, e
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Pipeline{P: p, Prog: prog, Env: env, nextFetchPC: startPC}, nil
+	return &Pipeline{P: p, Prog: prog, Env: env, nextFetchPC: startPC,
+		iq: make([]Entry, 0, p.ActiveList)}, nil
 }
 
 // Done reports whether the program's halt instruction has retired.
@@ -124,18 +125,18 @@ func (pl *Pipeline) RegisterMetrics(r *obs.Registry) {
 }
 
 // Step simulates one cycle: retire, progress execution, issue, decode,
-// fetch — making one complete pass over the iQ in program order, with all
-// structural constraints recomputed from the iQ itself.
+// fetch. All structural constraints are recomputed from the iQ itself, in
+// one census taken by progress's and issue's in-order passes and handed to
+// decode and fetch; nothing from one Step is read in the next.
 func (pl *Pipeline) Step() {
 	if pl.done {
 		return
 	}
 	pl.retire()
 	if !pl.done {
-		pl.progress()
-		pl.issue()
-		pl.decode()
-		pl.fetch()
+		c := pl.issue(pl.progress())
+		pl.decode(&c)
+		pl.fetch(c.unresolved)
 	}
 	if pl.Obs != nil {
 		pl.Obs.DetailedCycle(pl.Now, pl)
@@ -148,12 +149,11 @@ func (pl *Pipeline) Step() {
 func (pl *Pipeline) retire() {
 	var n, loads, stores, recs int
 	halt := false
-	for len(pl.iq) > 0 && n < pl.P.RetireWidth {
-		e := &pl.iq[0]
+	for ; n < len(pl.iq) && n < pl.P.RetireWidth && !halt; n++ {
+		e := &pl.iq[n]
 		if e.Stage != StDone {
 			break
 		}
-		n++
 		switch e.Class {
 		case isa.ClassLoad:
 			loads++
@@ -163,17 +163,13 @@ func (pl *Pipeline) retire() {
 		if consumesOutcome(e.Inst) {
 			recs++
 		}
-		if isHaltInst(e.Inst) {
-			halt = true
-		}
-		pl.iq = append(pl.iq[:0], pl.iq[1:]...)
-		if halt {
-			break
-		}
+		halt = isHaltInst(e.Inst)
 	}
-	if n > 0 {
-		pl.Env.RetirePop(n, loads, stores, recs)
+	if n == 0 {
+		return
 	}
+	pl.iq = pl.iq[:copy(pl.iq, pl.iq[n:])]
+	pl.Env.RetirePop(n, loads, stores, recs)
 	if halt {
 		pl.Env.HaltRetired()
 		pl.done = true
@@ -182,14 +178,16 @@ func (pl *Pipeline) retire() {
 
 // progress advances executing instructions and waiting loads by one cycle,
 // resolving branches (with squash + rollback on mispredicts), indirect
-// jumps, and load/store cache issue.
-func (pl *Pipeline) progress() {
+// jumps, and load/store cache issue. It returns the classes with an
+// instruction still executing; issue reads it for the non-pipelined units.
+func (pl *Pipeline) progress() (busy [isa.NumClasses]bool) {
 	for i := 0; i < len(pl.iq); i++ {
 		e := &pl.iq[i]
 		switch e.Stage {
 		case StExec:
 			e.Timer--
 			if e.Timer > 0 {
+				busy[e.Class] = true
 				continue
 			}
 			switch e.Class {
@@ -197,7 +195,7 @@ func (pl *Pipeline) progress() {
 				e.Stage = StDone
 				if e.Mispred {
 					pl.squash(i)
-					return // nothing younger survives
+					return busy // nothing younger survives
 				}
 			case isa.ClassJumpInd:
 				e.Stage = StDone
@@ -234,6 +232,7 @@ func (pl *Pipeline) progress() {
 			}
 		}
 	}
+	return busy
 }
 
 // squash discards every instruction younger than the mispredicted branch at
@@ -257,168 +256,162 @@ func (pl *Pipeline) squash(i int) {
 	pl.fetchStall = false
 }
 
+// census is what one cycle's in-order passes learn about the iQ, handed
+// forward to decode and fetch and dropped at the end of the cycle. It is
+// the paper's per-cycle recomputation of queue occupancy, renaming and
+// speculation depth, done once.
+type census struct {
+	waiting    [isa.NumQueues]int // StQueued entries per issue queue, after issue
+	intDefs    int                // renamed (non-fetched) integer definitions
+	fpDefs     int                // renamed (non-fetched) FP definitions
+	fetched    int                // index of the oldest StFetched entry, -1 if none
+	unresolved int                // conditional branches not yet resolved
+}
+
+// nonPipelined reports whether class c's functional unit holds one
+// instruction at a time: at most one integer divide, one FP divide and one
+// FP square root execute at once.
+func nonPipelined(c isa.Class) bool {
+	return c == isa.ClassIntDiv || c == isa.ClassFPDiv || c == isa.ClassFPSqrt
+}
+
 // issue moves ready instructions from the issue queues into execution,
-// oldest first, limited by functional units. Register dependences are
-// recomputed from the iQ on every pass, modelling the paper's per-cycle
-// renaming recomputation.
-func (pl *Pipeline) issue() {
-	intSlots := pl.P.IntALUs
-	fpSlots := pl.P.FPUs
-	addrSlots := pl.P.AddrAdders
-
-	// Non-pipelined units: at most one divide (and one sqrt) in flight.
-	intDivBusy, fpDivBusy, fpSqrtBusy := false, false, false
-	for k := range pl.iq {
-		if pl.iq[k].Stage != StExec {
-			continue
-		}
-		switch pl.iq[k].Class {
-		case isa.ClassIntDiv:
-			intDivBusy = true
-		case isa.ClassFPDiv:
-			fpDivBusy = true
-		case isa.ClassFPSqrt:
-			fpSqrtBusy = true
-		}
-	}
-
-	var lastProd [isa.NumIntRegs + isa.NumFPRegs]int
-	for k := range lastProd {
-		lastProd[k] = -1
-	}
-	var srcs []isa.Reg
+// oldest first, limited by functional units, and takes the cycle's census
+// in the same pass. Register dependences are recomputed from the iQ on
+// every pass, modelling the paper's per-cycle renaming recomputation.
+// Fetched entries form the iQ's tail: they neither issue nor rename yet.
+func (pl *Pipeline) issue(busy [isa.NumClasses]bool) census {
+	// Free functional units serving each queue this cycle.
+	free := [isa.NumQueues]int{pl.P.IntALUs, pl.P.FPUs, pl.P.AddrAdders}
+	// Each register's youngest definition so far: iQ index+1, 0 if none.
+	var lastProd [isa.NumIntRegs + isa.NumFPRegs]uint8
 	olderStoreUnissued := false
+	c := census{fetched: -1}
 
 	for i := range pl.iq {
 		e := &pl.iq[i]
-		if e.Stage == StQueued {
-			ready := true
-			srcs = e.Inst.Uses(srcs[:0])
-			for _, s := range srcs {
-				if p := lastProd[s]; p >= 0 && pl.iq[p].Stage != StDone {
-					ready = false
-					break
-				}
+		if e.Class == isa.ClassBranch && e.Stage != StDone {
+			c.unresolved++
+		}
+		if e.Stage == StFetched {
+			if c.fetched < 0 {
+				c.fetched = i
 			}
-			if ready {
-				switch e.Class.Queue() {
-				case isa.QueueInt:
-					if intSlots > 0 && !(e.Class == isa.ClassIntDiv && intDivBusy) {
-						intSlots--
-						e.Stage = StExec
-						e.Timer = uint32(e.Inst.Op.Latency())
-						if e.Class == isa.ClassIntDiv {
-							intDivBusy = true
-						}
-					}
-				case isa.QueueFP:
-					blocked := (e.Class == isa.ClassFPDiv && fpDivBusy) ||
-						(e.Class == isa.ClassFPSqrt && fpSqrtBusy)
-					if fpSlots > 0 && !blocked {
-						fpSlots--
-						e.Stage = StExec
-						e.Timer = uint32(e.Inst.Op.Latency())
-						switch e.Class {
-						case isa.ClassFPDiv:
-							fpDivBusy = true
-						case isa.ClassFPSqrt:
-							fpSqrtBusy = true
-						}
-					}
-				case isa.QueueAddr:
-					// Stores issue in order among stores; loads are free.
-					if addrSlots > 0 &&
-						!(e.Class == isa.ClassStore && olderStoreUnissued) {
-						addrSlots--
-						e.Stage = StExec
-						e.Timer = uint32(e.Inst.Op.Latency())
-					}
-				}
+			continue
+		}
+		if e.Stage == StQueued {
+			q := e.Class.Queue()
+			// Stores issue in order among stores; loads are free.
+			if free[q] > 0 && !(nonPipelined(e.Class) && busy[e.Class]) &&
+				!(e.Class == isa.ClassStore && olderStoreUnissued) &&
+				pl.operandsReady(e, &lastProd) {
+				free[q]--
+				busy[e.Class] = true
+				e.Stage = StExec
+				e.Timer = uint32(e.Inst.Op.Latency())
+			} else {
+				c.waiting[q]++
 			}
 		}
 		if e.Class == isa.ClassStore && e.Stage != StDone {
 			olderStoreUnissued = true
 		}
 		if d := e.Inst.Def(); d != isa.RegNone {
-			lastProd[d] = i
+			lastProd[d] = uint8(i + 1)
+			if d.IsFP() {
+				c.fpDefs++
+			} else {
+				c.intDefs++
+			}
 		}
 	}
+	return c
+}
+
+// operandsReady reports whether every source register of e has its
+// youngest older definition done. lastProd holds iQ index+1 per register.
+func (pl *Pipeline) operandsReady(e *Entry, lastProd *[isa.NumIntRegs + isa.NumFPRegs]uint8) bool {
+	var buf [2]isa.Reg
+	for _, s := range e.Inst.Uses(buf[:0]) {
+		if p := lastProd[s]; p != 0 && pl.iq[p-1].Stage != StDone {
+			return false
+		}
+	}
+	return true
 }
 
 // decode renames up to DecodeWidth fetched instructions in order, subject
-// to issue-queue space and physical-register availability, both recomputed
-// from the iQ.
-func (pl *Pipeline) decode() {
-	// Current occupancy and physical-register pressure.
-	var qOcc [isa.NumQueues]int
-	intDefs, fpDefs := 0, 0
-	first := -1
-	for i := range pl.iq {
-		e := &pl.iq[i]
-		if e.Stage == StFetched {
-			if first < 0 {
-				first = i
-			}
-			continue
-		}
-		if e.Stage == StQueued {
-			qOcc[e.Class.Queue()]++
-		}
-		if d := e.Inst.Def(); d != isa.RegNone {
-			if d.IsFP() {
-				fpDefs++
-			} else {
-				intDefs++
-			}
-		}
-	}
-	if first < 0 {
+// to issue-queue space and physical-register availability, both taken from
+// the cycle's census.
+func (pl *Pipeline) decode(c *census) {
+	if c.fetched < 0 {
 		return
 	}
-	qCap := [isa.NumQueues]int{pl.P.IntQueue, pl.P.FPQueue, pl.P.AddrQueue, 1 << 30}
-	for n := 0; n < pl.P.DecodeWidth && first+n < len(pl.iq); n++ {
-		e := &pl.iq[first+n]
+	qCap := [isa.NumQueues]int{pl.P.IntQueue, pl.P.FPQueue, pl.P.AddrQueue}
+	for i := c.fetched; i < len(pl.iq) && i < c.fetched+pl.P.DecodeWidth; i++ {
+		e := &pl.iq[i]
 		if e.Stage != StFetched {
 			desync("non-contiguous fetched instructions at %#x", e.PC)
 		}
 		// Physical registers: 32 architectural + in-flight defs per file.
 		if d := e.Inst.Def(); d != isa.RegNone {
+			defs, phys := &c.intDefs, pl.P.PhysInt-isa.NumIntRegs
 			if d.IsFP() {
-				if isa.NumFPRegs+fpDefs+1 > pl.P.PhysFP {
-					return
-				}
-			} else {
-				if isa.NumIntRegs+intDefs+1 > pl.P.PhysInt {
-					return
-				}
+				defs, phys = &c.fpDefs, pl.P.PhysFP-isa.NumFPRegs
 			}
+			if *defs >= phys {
+				return
+			}
+			*defs++
 		}
 		if e.Class == isa.ClassJump {
 			// Direct jumps need no issue queue: complete at rename.
 			e.Stage = StDone
-		} else {
-			q := e.Class.Queue()
-			if qOcc[q]+1 > qCap[q] {
-				return
-			}
-			qOcc[q]++
-			e.Stage = StQueued
+			continue
 		}
-		if d := e.Inst.Def(); d != isa.RegNone {
-			if d.IsFP() {
-				fpDefs++
-			} else {
-				intDefs++
-			}
+		q := e.Class.Queue()
+		if c.waiting[q] >= qCap[q] {
+			return
 		}
+		c.waiting[q]++
+		e.Stage = StQueued
 	}
+}
+
+// newEntry returns the fetched-stage entry for inst at pc, binding a load
+// or store to the next lQ or sQ slot in program order.
+func (pl *Pipeline) newEntry(pc uint32, inst isa.Inst) Entry {
+	e := Entry{
+		PC: pc, Inst: inst, Class: inst.Class(),
+		Stage: StFetched, RecIdx: -1, LQIdx: -1, SQIdx: -1,
+	}
+	switch e.Class {
+	case isa.ClassLoad:
+		e.LQIdx = pl.fetchLQ
+		pl.fetchLQ++
+	case isa.ClassStore:
+		e.SQIdx = pl.fetchSQ
+		pl.fetchSQ++
+	}
+	return e
+}
+
+// outcome consumes the next control record, which must be of kind k and
+// belong to the instruction (named what) at pc.
+func (pl *Pipeline) outcome(k direct.Kind, pc uint32, what string) Outcome {
+	out := pl.Env.NextOutcome()
+	if out.Kind != k || out.PC != pc {
+		desync("%s at %#x got record kind %d pc %#x", what, pc, out.Kind, out.PC)
+	}
+	return out
 }
 
 // fetch brings up to FetchWidth instructions into the iQ along the
 // speculative path, consuming a control outcome at every conditional
 // branch, indirect jump and halt, and stopping at control transfers
-// (one-cycle redirect) and at the speculation-depth limit.
-func (pl *Pipeline) fetch() {
+// (one-cycle redirect) and at the speculation-depth limit. unresolved is
+// the census's count of conditional branches in flight.
+func (pl *Pipeline) fetch(unresolved int) {
 	if pl.fetchStall {
 		return
 	}
@@ -429,12 +422,6 @@ func (pl *Pipeline) fetch() {
 		}
 		if isHaltInst(last.Inst) {
 			return // nothing beyond the halt
-		}
-	}
-	specDepth := 0
-	for k := range pl.iq {
-		if pl.iq[k].Class == isa.ClassBranch && pl.iq[k].Stage != StDone {
-			specDepth++
 		}
 	}
 
@@ -453,60 +440,30 @@ func (pl *Pipeline) fetch() {
 			pl.fetchStall = true
 			return
 		}
-		e := Entry{
-			PC: pl.nextFetchPC, Inst: inst, Class: inst.Class(),
-			Stage: StFetched, RecIdx: -1, LQIdx: -1, SQIdx: -1,
-		}
+		e := pl.newEntry(pl.nextFetchPC, inst)
 		switch {
 		case e.Class == isa.ClassBranch:
-			if specDepth >= pl.P.MaxSpecBranches {
+			if unresolved >= pl.P.MaxSpecBranches {
 				return
 			}
-			out := pl.Env.NextOutcome()
-			if out.Kind != direct.KindBranch || out.PC != e.PC {
-				desync("branch at %#x got record kind %d pc %#x", e.PC, out.Kind, out.PC)
-			}
+			out := pl.outcome(direct.KindBranch, e.PC, "branch")
 			e.Taken, e.Mispred, e.RecIdx = out.Taken, out.Mispredicted, out.RecIdx
-			if fetchTaken(e.Taken, e.Mispred) {
-				pl.nextFetchPC = e.Inst.BranchTarget(e.PC)
-			} else {
-				pl.nextFetchPC = e.PC + isa.WordSize
-			}
-			pl.iq = append(pl.iq, e)
-			return // control transfer ends the fetch group
 		case e.Class == isa.ClassJumpInd:
-			out := pl.Env.NextOutcome()
-			if out.Kind != direct.KindIJump || out.PC != e.PC {
-				desync("jalr at %#x got record kind %d pc %#x", e.PC, out.Kind, out.PC)
-			}
+			out := pl.outcome(direct.KindIJump, e.PC, "jalr")
 			e.Target, e.RecIdx = out.Target, out.RecIdx
-			pl.iq = append(pl.iq, e)
+		case isHaltInst(inst):
+			e.RecIdx = pl.outcome(direct.KindHalt, e.PC, "halt").RecIdx
+		}
+		pl.iq = append(pl.iq, e)
+		switch {
+		case e.Class == isa.ClassBranch || e.Class == isa.ClassJump:
+			pl.nextFetchPC = successorPC(&e)
+			return // control transfer ends the fetch group (one-cycle redirect)
+		case e.Class == isa.ClassJumpInd:
 			return // fetch blocks until the jalr resolves
 		case isHaltInst(inst):
-			out := pl.Env.NextOutcome()
-			if out.Kind != direct.KindHalt || out.PC != e.PC {
-				desync("halt at %#x got record kind %d pc %#x", e.PC, out.Kind, out.PC)
-			}
-			e.RecIdx = out.RecIdx
-			pl.iq = append(pl.iq, e)
 			return // nothing beyond the halt
-		case e.Class == isa.ClassJump:
-			pl.nextFetchPC = e.Inst.BranchTarget(e.PC)
-			pl.iq = append(pl.iq, e)
-			return // one-cycle redirect
-		case e.Class == isa.ClassLoad:
-			e.LQIdx = pl.fetchLQ
-			pl.fetchLQ++
-			pl.iq = append(pl.iq, e)
-			pl.nextFetchPC += isa.WordSize
-		case e.Class == isa.ClassStore:
-			e.SQIdx = pl.fetchSQ
-			pl.fetchSQ++
-			pl.iq = append(pl.iq, e)
-			pl.nextFetchPC += isa.WordSize
-		default:
-			pl.iq = append(pl.iq, e)
-			pl.nextFetchPC += isa.WordSize
 		}
+		pl.nextFetchPC += isa.WordSize
 	}
 }

@@ -710,3 +710,56 @@ main:
 	}
 	runToDone(t, pl, 300)
 }
+
+// loopEnv serves an endless loop branch, taken and mispredicted every fifth
+// time, and completes every load after a fixed interval, all without
+// allocating.
+type loopEnv struct {
+	branchPC uint32
+	n        int
+}
+
+func (l *loopEnv) NextOutcome() Outcome {
+	l.n++
+	return Outcome{Kind: direct.KindBranch, PC: l.branchPC, Taken: true, Mispredicted: l.n%5 == 0, RecIdx: l.n}
+}
+func (l *loopEnv) IssueLoad(int, uint64) int            { return 3 }
+func (l *loopEnv) PollLoad(int, uint64) (bool, int)     { return true, 0 }
+func (l *loopEnv) CancelLoad(int)                       {}
+func (l *loopEnv) IssueStore(int, uint64)               {}
+func (l *loopEnv) Rollback(int) (int, int)              { return 0, 0 }
+func (l *loopEnv) RetirePop(insts, loads, st, recs int) {}
+func (l *loopEnv) HaltRetired()                         {}
+
+// TestStepAllocatesNothing: once the iQ has filled, a detailed cycle —
+// issue with its register check, decode, fetch, retirement and mispredict
+// squashes — allocates nothing.
+func TestStepAllocatesNothing(t *testing.T) {
+	p := buildProg(t, `
+main:
+	lw    t0, 0(sp)
+	add   t1, t0, t2
+	div   t3, t1, t0
+	fadd  f1, f2, f3
+	fsqrt f4, f1
+	sw    t1, 4(sp)
+	addi  t2, t2, 1
+	bne   t2, zero, main
+	j     main
+`)
+	env := &loopEnv{branchPC: p.Entry + 7*isa.WordSize}
+	pl, err := New(DefaultParams(), p, env, p.Entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		pl.Step()
+	}
+	if avg := testing.AllocsPerRun(1000, pl.Step); avg != 0 {
+		t.Errorf("Step allocates %.2f times per cycle in steady state, want 0", avg)
+	}
+	// The divide bounds the loop at one iteration per ~34 cycles.
+	if pl.Done() || env.n < 50 {
+		t.Fatalf("loop did not keep running (done %v, %d outcomes)", pl.Done(), env.n)
+	}
+}
