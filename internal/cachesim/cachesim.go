@@ -25,6 +25,7 @@ package cachesim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fastsim/internal/obs"
 	"fastsim/internal/stats"
@@ -102,8 +103,10 @@ type way struct {
 
 // level is one set-associative cache level with MSHR occupancy tracking.
 type level struct {
-	sets      [][]way // sets[set][way]; position 0 is MRU
-	setShift  uint
+	ways      []way // sets×assoc; set s is ways[s*assoc:][:assoc], position 0 MRU
+	assoc     int
+	setShift  uint // line offset bits
+	tagShift  uint // line offset and set index bits
 	setMask   uint32
 	mshrFree  []uint64 // earliest cycle each MSHR slot is free
 	writeback bool
@@ -114,33 +117,24 @@ func newLevel(size, assoc, line, mshrs int, writeback bool) *level {
 	if nSets <= 0 || nSets&(nSets-1) != 0 {
 		panic(fmt.Sprintf("cachesim: set count %d not a power of two", nSets))
 	}
-	l := &level{
-		sets:      make([][]way, nSets),
+	setShift := uint(bits.Len(uint(line)) - 1)
+	return &level{
+		ways:      make([]way, nSets*assoc),
+		assoc:     assoc,
+		setShift:  setShift,
+		tagShift:  setShift + uint(bits.Len(uint(nSets))-1),
 		setMask:   uint32(nSets - 1),
 		mshrFree:  make([]uint64, mshrs),
 		writeback: writeback,
 	}
-	for i := range l.sets {
-		l.sets[i] = make([]way, assoc)
-	}
-	for s := line; s > 1; s >>= 1 {
-		l.setShift++
-	}
-	return l
 }
 
-func (l *level) set(addr uint32) []way { return l.sets[(addr>>l.setShift)&l.setMask] }
-func (l *level) tag(addr uint32) uint32 {
-	return addr >> l.setShift >> uint(setBits(len(l.sets)))
+func (l *level) set(addr uint32) []way {
+	i := int((addr>>l.setShift)&l.setMask) * l.assoc
+	return l.ways[i : i+l.assoc]
 }
 
-func setBits(n int) int {
-	b := 0
-	for s := n; s > 1; s >>= 1 {
-		b++
-	}
-	return b
-}
+func (l *level) tag(addr uint32) uint32 { return addr >> l.tagShift }
 
 // lookup probes the level. On a hit the line is moved to MRU.
 func (l *level) lookup(addr uint32) bool {

@@ -8,14 +8,14 @@ import (
 	"fastsim/internal/uarch"
 )
 
-// TestConfigEncodeReconstructRoundTrip drives the detailed pipeline through
-// real programs and, at every cycle boundary, encodes the configuration,
-// reconstructs a pipeline from it, and re-encodes: the bytes must match and
-// the reconstructed entries must carry the same state and correctly rebound
-// driver handles. This is the §4.2 compression's exactness proof — if any
-// µ-architecture state escaped the encoding, FastSim could not resume
-// detailed simulation mid-run.
-func TestConfigEncodeReconstructRoundTrip(t *testing.T) {
+// TestConfigEncodeRestoreRoundTrip drives the detailed pipeline through
+// real programs and, at every seventh cycle boundary, encodes the
+// configuration, restores it into a second, reused pipeline, and
+// re-encodes: the bytes must match and the restored entries must carry the
+// same state and correctly rebound driver handles. This is the §4.2
+// compression's exactness proof — if any µ-architecture state escaped the
+// encoding, FastSim could not resume detailed simulation mid-run.
+func TestConfigEncodeRestoreRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		opts := testprog.DefaultOptions()
 		opts.Iterations = 15
@@ -30,6 +30,10 @@ func TestConfigEncodeReconstructRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		re, err := uarch.New(cfg.Uarch, prog, drv, prog.Entry)
+		if err != nil {
+			t.Fatal(err)
+		}
 		checked := 0
 		var buf, buf2 []byte
 		for cycle := 0; !pl.Done(); cycle++ {
@@ -41,9 +45,8 @@ func TestConfigEncodeReconstructRoundTrip(t *testing.T) {
 				continue
 			}
 			buf = pl.EncodeConfig(buf[:0])
-			re, err := uarch.Reconstruct(cfg.Uarch, prog, drv, buf, pl.Now, drv.Heads())
-			if err != nil {
-				t.Fatalf("seed %d cycle %d: reconstruct: %v", seed, cycle, err)
+			if err := re.Restore(string(buf), pl.Now, drv.Heads()); err != nil {
+				t.Fatalf("seed %d cycle %d: restore: %v", seed, cycle, err)
 			}
 			buf2 = re.EncodeConfig(buf2[:0])
 			if !bytes.Equal(buf, buf2) {
@@ -70,10 +73,11 @@ func TestConfigEncodeReconstructRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReconstructRejectsCorruptKeys fuzzes truncations and mutations of a
-// valid configuration: Reconstruct must fail cleanly or produce a pipeline
-// that re-encodes to its own key, never panic.
-func TestReconstructRejectsCorruptKeys(t *testing.T) {
+// TestRestoreRejectsCorruptKeys tries every truncation and byte flip of a
+// valid configuration: Restore must fail cleanly or produce a pipeline that
+// re-encodes to its own key, never panic. uarch's FuzzRestore explores
+// further from the same kind of seeds.
+func TestRestoreRejectsCorruptKeys(t *testing.T) {
 	prog, err := testprog.Build(3, testprog.Options{Iterations: 5, Segments: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +93,12 @@ func TestReconstructRejectsCorruptKeys(t *testing.T) {
 	}
 	key := pl.EncodeConfig(nil)
 
+	re, err := uarch.New(cfg.Uarch, prog, drv, prog.Entry)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for cut := 0; cut < len(key); cut++ {
-		if _, err := uarch.Reconstruct(cfg.Uarch, prog, drv, key[:cut], 0, drv.Heads()); err == nil {
+		if err := re.Restore(string(key[:cut]), 0, drv.Heads()); err == nil {
 			// A shorter prefix can only be valid if it is self-consistent;
 			// re-encode and verify it round-trips.
 			t.Logf("prefix %d accepted (must be self-consistent)", cut)
@@ -99,8 +107,7 @@ func TestReconstructRejectsCorruptKeys(t *testing.T) {
 	for i := range key {
 		mut := append([]byte(nil), key...)
 		mut[i] ^= 0xFF
-		re, err := uarch.Reconstruct(cfg.Uarch, prog, drv, mut, 0, drv.Heads())
-		if err != nil {
+		if err := re.Restore(string(mut), 0, drv.Heads()); err != nil {
 			continue // cleanly rejected
 		}
 		back := re.EncodeConfig(nil)

@@ -111,11 +111,21 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (res *Re
 	var memoStats memo.Stats
 	var snapStatus SnapshotStatus
 	var sharedStatus SharedStatus
+	// The run's one detailed pipeline: SlowSim steps it, FastSim's engine
+	// records through it and restores it at every replay stop.
+	pl, err := uarch.New(cfg.Uarch, prog, drv, prog.Entry)
+	if err != nil {
+		return nil, err
+	}
+	pl.Obs = o
+	if o != nil {
+		pl.RegisterMetrics(o.Metrics())
+	}
 	if cfg.Memoize {
 		if cfg.FaultInject != nil {
 			cfg.Memo.Inject = cfg.FaultInject
 		}
-		eng := memo.NewEngine(prog, cfg.Uarch, drv, cfg.Memo)
+		eng := memo.NewEngine(pl, drv, cfg.Memo)
 		eng.Obs = o
 		if ctx.Done() != nil {
 			eng.Cancel = func() error { return ctx.Err() }
@@ -150,14 +160,6 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (res *Re
 			memoStats = eng.Cache.Stats()
 		}
 	} else {
-		pl, perr := uarch.New(cfg.Uarch, prog, drv, prog.Entry)
-		if perr != nil {
-			return nil, perr
-		}
-		pl.Obs = o
-		if o != nil {
-			pl.RegisterMetrics(o.Metrics())
-		}
 		poll := ctx.Done() != nil
 		for !pl.Done() {
 			if pl.Now > maxCycles {

@@ -13,6 +13,7 @@ import (
 	"fastsim/internal/obs"
 	"fastsim/internal/program"
 	"fastsim/internal/testprog"
+	"fastsim/internal/uarch"
 )
 
 func build(t *testing.T, src string) *program.Program {
@@ -392,7 +393,11 @@ func TestPollOfNonLiveLoadIsRunError(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	drv := &strayPoll{driver: newDriver(prog, cfg.Cache, cfg.BPred)}
-	eng := memo.NewEngine(prog, cfg.Uarch, drv, cfg.Memo)
+	pl, err := uarch.New(cfg.Uarch, prog, drv, prog.Entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := memo.NewEngine(pl, drv, cfg.Memo)
 	func() {
 		defer recoverRun(&err)
 		_, err = eng.Run(defaultMaxCycles)

@@ -47,17 +47,6 @@ const (
 	KindStall              // wrong-path execution ran off the rails
 )
 
-// Branch outcome classes: the four possible outcomes following a
-// conditional branch (paper §4.2). These label action-chain edges in the
-// p-action cache.
-const (
-	OutcomeNotTakenPredicted = iota
-	OutcomeTakenPredicted
-	OutcomeNotTakenMispredicted
-	OutcomeTakenMispredicted
-	NumBranchOutcomes
-)
-
 // ControlRec describes one control point reached by direct execution, in
 // fetch order. The µ-architecture simulator consumes these records to walk
 // the same (speculative) path that direct execution followed.
@@ -69,18 +58,6 @@ type ControlRec struct {
 	Target       uint32 // actual next PC (the *correct* continuation)
 	LQLen        int    // lQ length when the record was created
 	SQLen        int    // sQ length when the record was created
-}
-
-// Outcome returns the branch outcome class of a KindBranch record.
-func (r *ControlRec) Outcome() int {
-	o := 0
-	if r.Taken {
-		o |= 1
-	}
-	if r.Mispredicted {
-		o |= 2
-	}
-	return o
 }
 
 // LoadRec is one lQ entry.

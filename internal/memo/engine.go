@@ -7,7 +7,6 @@ import (
 	"fastsim/internal/direct"
 	"fastsim/internal/faultinject"
 	"fastsim/internal/obs"
-	"fastsim/internal/program"
 	"fastsim/internal/uarch"
 )
 
@@ -65,10 +64,9 @@ type scriptEntry struct {
 // configurations and action chains; revisited configurations replay them
 // with bit-identical results.
 type Engine struct {
-	Cache  *Cache
-	drv    Driver
-	prog   *program.Program
-	params uarch.Params
+	Cache *Cache
+	drv   Driver
+	pl    *uarch.Pipeline // the run's one detailed pipeline, restored at each replay stop
 
 	// Obs, when non-nil, receives every memo occurrence (record and replay
 	// episodes, reclaims, quarantines, guard transitions) and
@@ -83,8 +81,7 @@ type Engine struct {
 	now    uint64
 	halted bool
 
-	pl            *uarch.Pipeline // current detailed pipeline (the pipeline gauges read it)
-	chainEpisodes uint64          // episodes replayed in the current chain
+	chainEpisodes uint64 // episodes replayed in the current chain
 
 	keyBuf     []byte
 	script     []scriptEntry
@@ -102,20 +99,18 @@ type Engine struct {
 	verifyTick  uint64
 
 	// recScratch is the engine's single recorder, reset by newRecorder at
-	// each episode boundary. The previous episode's recorder is always
-	// finished (setLink called) before the next one starts, so reusing one
-	// struct avoids a heap allocation per episode.
+	// each episode boundary and the pipeline's Env for the whole run. The
+	// previous episode's recorder is always finished (setLink called)
+	// before the next one starts, so reusing one struct avoids a heap
+	// allocation per episode.
 	recScratch recorder
 }
 
-// NewEngine prepares a fast-forwarding run.
-func NewEngine(prog *program.Program, params uarch.Params, drv Driver, opts Options) *Engine {
-	e := &Engine{
-		Cache:  NewCache(opts),
-		drv:    drv,
-		prog:   prog,
-		params: params,
-	}
+// NewEngine prepares a fast-forwarding run of pl, a pipeline fresh from
+// uarch.New, whose Env it binds to the engine's recorder.
+func NewEngine(pl *uarch.Pipeline, drv Driver, opts Options) *Engine {
+	e := &Engine{Cache: NewCache(opts), drv: drv, pl: pl}
+	pl.Env = &e.recScratch
 	switch rate := opts.VerifyRate; {
 	case rate >= 1:
 		e.verifyEvery = 1
@@ -158,18 +153,6 @@ func (e *Engine) Run(maxCycles uint64) (cycles uint64, err error) {
 		reg.Gauge(obs.MetricGuardBudgetBytes, func() float64 { return float64(e.Cache.opts.Budget) })
 		reg.Gauge(obs.MetricGuardDegraded, func() float64 { return float64(e.Cache.stats.DegradedEpisodes) })
 	}
-	pl, err := uarch.New(e.params, e.prog, nil, e.prog.Entry)
-	if err != nil {
-		return 0, err
-	}
-	e.observePipeline(pl)
-	if e.Obs != nil {
-		// Registered once: the closures follow e.pl across every
-		// reconstruction after a replay stop.
-		reg := e.Obs.Metrics()
-		reg.Gauge(obs.MetricIQDepth, func() float64 { return float64(len(e.pl.Entries())) })
-		reg.Gauge(obs.MetricUarchCycle, func() float64 { return float64(e.pl.Now) })
-	}
 	var rec *recorder // recorder of the just-finished episode (for linking)
 
 	for !e.halted {
@@ -187,67 +170,55 @@ func (e *Engine) Run(maxCycles uint64) (cycles uint64, err error) {
 			e.Cache.stats.DegradedEpisodes++
 			rec = e.newRecorder(nil, nil)
 			rec.noWrite = true
-			pl.Env = rec
-			e.recordEpisode(pl, rec)
-			if rec.halt {
-				e.halted = true
+		} else {
+			// Detailed mode, at an episode boundary.
+			e.keyBuf = e.pl.EncodeConfig(e.keyBuf[:0])
+			e.Cache.Reclaim()
+			cfg, _ := e.Cache.getOrCreate(e.keyBuf)
+			e.Cache.mark(cfg)
+			e.Cache.stats.Lookups++
+			if rec != nil && !rec.noWrite {
+				rec.setLink(cfg)
 			}
-			continue
-		}
-		// Detailed mode, at an episode boundary.
-		e.keyBuf = pl.EncodeConfig(e.keyBuf[:0])
-		e.Cache.Reclaim()
-		cfg, _ := e.Cache.getOrCreate(e.keyBuf)
-		e.Cache.mark(cfg)
-		e.Cache.stats.Lookups++
-		if rec != nil && !rec.noWrite {
-			rec.setLink(cfg)
-		}
 
-		switch {
-		case cfg.first != nil && e.shouldVerify():
-			// Shadow verification: execute the episode through the
-			// detailed simulator (ground truth — its side effects are the
-			// real ones) while the recorder cross-checks the cached chain
-			// action by action. A mismatch quarantines the chain and the
-			// episode completes on the detailed results; agreement leaves
-			// the chain marked and untouched.
-			e.Cache.stats.EpisodesVerified++
-			rec = e.newRecorder(cfg, nil)
-			rec.verify = true
-			pl.Env = rec
-		case cfg.first != nil:
-			// Hit: fast-forward until the program halts or an unseen
-			// outcome requires detailed simulation again.
-			e.Cache.stats.Hits++
-			e.beginChain()
-			resume, rerr := e.replayRun(cfg)
-			if rerr != nil {
-				return e.now, rerr
+			switch {
+			case cfg.first != nil && e.shouldVerify():
+				// Shadow verification: execute the episode through the
+				// detailed simulator (ground truth — its side effects are
+				// the real ones) while the recorder cross-checks the
+				// cached chain action by action. A mismatch quarantines
+				// the chain and the episode completes on the detailed
+				// results; agreement leaves the chain marked and untouched.
+				e.Cache.stats.EpisodesVerified++
+				rec = e.newRecorder(cfg, nil)
+				rec.verify = true
+			case cfg.first != nil:
+				// Hit: fast-forward until the program halts or an unseen
+				// outcome requires detailed simulation again.
+				e.Cache.stats.Hits++
+				e.beginChain()
+				resume, rerr := e.replayRun(cfg)
+				if rerr != nil {
+					return e.now, rerr
+				}
+				if resume == nil {
+					e.halted = true
+					continue // halted during replay
+				}
+				// Restore the detailed simulator to the stopping
+				// configuration and re-drive it through the episode's
+				// already-performed interactions.
+				rec = e.newRecorder(resume, e.script)
+				if err := e.pl.Restore(resume.key, e.now, e.drv.Heads()); err != nil {
+					return e.now, fmt.Errorf("memo: restore: %w", err)
+				}
+			default:
+				// Miss (fresh configuration or collected shell): record
+				// one episode into it.
+				rec = e.newRecorder(cfg, nil)
 			}
-			if resume == nil {
-				e.halted = true
-				break // halted during replay
-			}
-			// Reconstruct the detailed simulator from the stopping
-			// configuration and re-drive it through the episode's
-			// already-performed interactions.
-			rec = e.newRecorder(resume, e.script)
-			pl, err = uarch.Reconstruct(e.params, e.prog, rec, []byte(resume.key), e.now, e.drv.Heads())
-			if err != nil {
-				return e.now, fmt.Errorf("memo: reconstruct: %w", err)
-			}
-			e.observePipeline(pl)
-		default:
-			// Miss (fresh configuration or collected shell): record one
-			// episode into it.
-			rec = e.newRecorder(cfg, nil)
-			pl.Env = rec
 		}
-		if e.halted {
-			break
-		}
-		e.recordEpisode(pl, rec)
+		e.recordEpisode(rec)
 		if rec.halt {
 			e.halted = true
 		}
@@ -384,15 +355,6 @@ func (e *Engine) guardCheck() guardLevel {
 	return e.guard
 }
 
-// observePipeline makes a freshly built detailed pipeline (the initial
-// one, and each reconstruction after a replay stop) the engine's current
-// one and attaches the Observer to it, so its detailed cycles reach the
-// pipetrace sink.
-func (e *Engine) observePipeline(pl *uarch.Pipeline) {
-	pl.Obs = e.Obs
-	e.pl = pl
-}
-
 // cancelMask amortizes cancellation polls: Cancel runs on the first
 // episode boundary (so an already-cancelled context aborts before any real
 // work) and then once per 1024, keeping context support off the
@@ -431,7 +393,8 @@ func (e *Engine) endChain() {
 // recordEpisode steps the detailed simulator until the end of the first
 // cycle containing an interaction (or program halt). The recorder allocates
 // or re-walks action nodes as interactions occur.
-func (e *Engine) recordEpisode(pl *uarch.Pipeline, rec *recorder) {
+func (e *Engine) recordEpisode(rec *recorder) {
+	pl := e.pl
 	kind := obs.SpanRecord
 	switch {
 	case rec.verify:

@@ -126,7 +126,7 @@ func (c *Cache) ExportGraph() *Graph {
 		Keys:    make([]string, len(cfgs)),
 		First:   make([]int64, len(cfgs)),
 		Actions: make([]GraphAction, len(order)),
-		Stats:   c.stats,
+		Stats:   c.Stats(),
 	}
 	for i, cf := range cfgs {
 		g.Keys[i] = cf.key
@@ -283,7 +283,6 @@ func (c *Cache) ImportGraph(g *Graph) error {
 	// cumulative across the runs that built the cache.
 	c.live = len(acts)
 	c.stats = g.Stats
-	c.stats.Bytes = c.bytes
 	if c.bytes > c.stats.PeakBytes {
 		c.stats.PeakBytes = c.bytes
 	}

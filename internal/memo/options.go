@@ -14,8 +14,8 @@
 // Fast-forwarding replays these chains instead of running the detailed
 // simulator, producing bit-identical statistics. A previously unseen
 // outcome (a missing edge) stops fast-forwarding: the detailed simulator is
-// reconstructed from the configuration, re-driven through the already-
-// performed interactions of the episode, and recorded onward, growing a new
+// restored to the configuration, re-driven through the already-performed
+// interactions of the episode, and recorded onward, growing a new
 // branch of the action graph exactly as in the paper's Figure 6.
 //
 // §4.3's replacement policies are all implemented: unbounded growth,

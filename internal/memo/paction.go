@@ -196,8 +196,12 @@ func NewCache(opts Options) *Cache {
 	return &Cache{opts: opts, tab: newConfigTable(0), gen: 1}
 }
 
-// Stats returns a copy of the counters.
-func (c *Cache) Stats() Stats { return c.stats }
+// Stats returns a copy of the counters, with Bytes read from the footprint.
+func (c *Cache) Stats() Stats {
+	s := c.stats
+	s.Bytes = c.bytes
+	return s
+}
 
 // Bytes returns the current footprint.
 func (c *Cache) Bytes() int { return c.bytes }
@@ -252,7 +256,6 @@ func (c *Cache) addBytes(n int) {
 	if c.bytes > c.stats.PeakBytes {
 		c.stats.PeakBytes = c.bytes
 	}
-	c.stats.Bytes = c.bytes
 }
 
 // overLimit reports whether the cache exceeds its configured limit.
@@ -358,7 +361,6 @@ func (c *Cache) evictChain(cfg *config) uint64 {
 		*a = action{} // gen 0, old false: dead at the next sweep
 	}
 	c.live -= int(evicted)
-	c.stats.Bytes = c.bytes
 	return evicted
 }
 
@@ -370,7 +372,6 @@ func (c *Cache) flush() {
 	c.arena.reset()
 	c.bytes = 0
 	c.live = 0
-	c.stats.Bytes = 0
 	c.stats.Flushes++
 }
 
@@ -517,7 +518,6 @@ func (c *Cache) collect(minorOnly bool) {
 	c.live = int(survivors)
 	c.tab = next
 	c.bytes = bytes
-	c.stats.Bytes = bytes
 	// Sweep the arena while keepAct is still valid: dead slots are zeroed
 	// (clearing pointers that would retain dead subgraphs) and recycled.
 	c.arena.sweep(keepAct)

@@ -80,9 +80,7 @@ func NewRegistry() *Registry {
 }
 
 // Gauge registers a read callback under name. Re-registering a name
-// replaces the previous callback — components whose lifetime is shorter
-// than the run (the detailed pipeline under memoization is rebuilt at every
-// replay stop) re-register on reconstruction.
+// replaces the previous callback.
 func (r *Registry) Gauge(name string, f func() float64) {
 	if r == nil {
 		return

@@ -102,30 +102,30 @@ func successorPC(e *Entry) uint32 {
 }
 
 // Heads are the driver's absolute queue positions, used to rebind the
-// reconstructed entries' external handles.
+// restored entries' external handles.
 type Heads struct {
 	Rec int // control records fully retired
 	LQ  int // lQ entries popped
 	SQ  int // sQ entries popped
 }
 
-// Reconstruct rebuilds a pipeline from an encoded configuration. The
+// Restore refills the pipeline in place from an encoded configuration. The
 // memoization layer calls it when fast-forwarding stops at a previously
 // unseen outcome and detailed simulation must resume from the last
 // configuration. now restores the cycle counter (which is deliberately not
-// part of the configuration), and heads rebind RecIdx/LQIdx/SQIdx.
-func Reconstruct(p Params, prog *program.Program, env Env, key []byte, now uint64, heads Heads) (*Pipeline, error) {
-	pl, err := New(p, prog, env, 0)
-	if err != nil {
-		return nil, err
-	}
+// part of the configuration), and heads rebind RecIdx/LQIdx/SQIdx. P, Prog,
+// Env and Obs are kept. On error the pipeline's state is undefined.
+func (pl *Pipeline) Restore(key string, now uint64, heads Heads) error {
+	pl.iq = pl.iq[:0]
 	pl.Now = now
+	pl.done = false
+	pl.fetchLQ, pl.fetchSQ = heads.LQ, heads.SQ
 	if len(key) < headerBytes {
-		return nil, fmt.Errorf("uarch: truncated configuration (%d bytes)", len(key))
+		return fmt.Errorf("uarch: truncated configuration (%d bytes)", len(key))
 	}
 	pl.nextFetchPC = uint32(key[0]) | uint32(key[1])<<8 | uint32(key[2])<<16 | uint32(key[3])<<24
 	if key[4]&^1 != 0 {
-		return nil, fmt.Errorf("uarch: unknown flag bits %#x in configuration", key[4])
+		return fmt.Errorf("uarch: unknown flag bits %#x in configuration", key[4])
 	}
 	pl.fetchStall = key[4]&1 != 0
 	count := int(key[5])
@@ -141,22 +141,22 @@ func Reconstruct(p Params, prog *program.Program, env Env, key []byte, now uint6
 	}
 
 	recs := heads.Rec
-	pl.fetchLQ, pl.fetchSQ = heads.LQ, heads.SQ
 	pc := uint32(0)
+	var err error
 	if count > 0 {
 		if pc, err = rdU32(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for i := 0; i < count; i++ {
 		if pos+2 > len(key) {
-			return nil, fmt.Errorf("uarch: truncated configuration at entry %d", i)
+			return fmt.Errorf("uarch: truncated configuration at entry %d", i)
 		}
 		w := uint16(key[pos]) | uint16(key[pos+1])<<8
 		pos += 2
-		inst, ok := prog.InstAt(pc)
+		inst, ok := pl.Prog.InstAt(pc)
 		if !ok {
-			return nil, fmt.Errorf("uarch: configuration references invalid pc %#x", pc)
+			return fmt.Errorf("uarch: configuration references invalid pc %#x", pc)
 		}
 		e := pl.newEntry(pc, inst)
 		e.Stage = Stage(w >> 13)
@@ -164,16 +164,16 @@ func Reconstruct(p Params, prog *program.Program, env Env, key []byte, now uint6
 		e.Mispred = w&(1<<11) != 0
 		e.Timer = uint32(w & timerEscape)
 		if e.Stage >= numStages {
-			return nil, fmt.Errorf("uarch: bad stage %d in configuration", e.Stage)
+			return fmt.Errorf("uarch: bad stage %d in configuration", e.Stage)
 		}
 		if e.Timer == timerEscape {
 			if e.Timer, err = rdU32(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if e.Class == isa.ClassJumpInd {
 			if e.Target, err = rdU32(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if consumesOutcome(inst) {
@@ -184,15 +184,15 @@ func Reconstruct(p Params, prog *program.Program, env Env, key []byte, now uint6
 		pc = successorPC(&e)
 	}
 	if pos != len(key) {
-		return nil, fmt.Errorf("uarch: %d trailing bytes in configuration", len(key)-pos)
+		return fmt.Errorf("uarch: %d trailing bytes in configuration", len(key)-pos)
 	}
-	return pl, nil
+	return nil
 }
 
 // DumpConfig renders a configuration key for debugging and traces.
 func DumpConfig(prog *program.Program, key []byte) string {
-	pl, err := Reconstruct(DefaultParams(), prog, nil, key, 0, Heads{})
-	if err != nil {
+	pl, _ := New(DefaultParams(), prog, nil, 0) // DefaultParams always validate
+	if err := pl.Restore(string(key), 0, Heads{}); err != nil {
 		return fmt.Sprintf("<bad config: %v>", err)
 	}
 	s := fmt.Sprintf("fetch=%#x stall=%v n=%d", pl.nextFetchPC, pl.fetchStall, len(pl.iq))

@@ -100,7 +100,8 @@ type Pipeline struct {
 	fetchSQ int // next sQ slot to assign at fetch
 }
 
-// New returns a pipeline fetching from startPC.
+// New returns a pipeline fetching from startPC. A run builds one and keeps
+// it: the memo engine Restores it at every replay stop.
 func New(p Params, prog *program.Program, env Env, startPC uint32) (*Pipeline, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -116,9 +117,7 @@ func (pl *Pipeline) Done() bool { return pl.done }
 func (pl *Pipeline) Entries() []Entry { return pl.iq }
 
 // RegisterMetrics publishes pipeline gauges into the observability
-// registry. SlowSim calls it on its one pipeline; the memo engine, which
-// rebuilds the pipeline at every replay stop, registers its own gauges once
-// that follow the live instance.
+// registry.
 func (pl *Pipeline) RegisterMetrics(r *obs.Registry) {
 	r.Gauge(obs.MetricIQDepth, func() float64 { return float64(len(pl.iq)) })
 	r.Gauge(obs.MetricUarchCycle, func() float64 { return float64(pl.Now) })

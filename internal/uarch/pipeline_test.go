@@ -711,6 +711,37 @@ main:
 	runToDone(t, pl, 300)
 }
 
+// loopSrc is an endless loop over loads, a divide, FP add and square root,
+// a store and a conditional branch, served by loopEnv.
+const loopSrc = `
+main:
+	lw    t0, 0(sp)
+	add   t1, t0, t2
+	div   t3, t1, t0
+	fadd  f1, f2, f3
+	fsqrt f4, f1
+	sw    t1, 4(sp)
+	addi  t2, t2, 1
+	bne   t2, zero, main
+	j     main
+`
+
+// newLoopPipeline returns a pipeline from New fetching loopSrc, with its
+// loopEnv.
+func newLoopPipeline(t testing.TB) (*Pipeline, *loopEnv) {
+	t.Helper()
+	p, err := asm.Assemble("loop.s", loopSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &loopEnv{branchPC: p.Entry + 7*isa.WordSize}
+	pl, err := New(DefaultParams(), p, env, p.Entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl, env
+}
+
 // loopEnv serves an endless loop branch, taken and mispredicted every fifth
 // time, and completes every load after a fixed interval, all without
 // allocating.
@@ -735,23 +766,7 @@ func (l *loopEnv) HaltRetired()                         {}
 // issue with its register check, decode, fetch, retirement and mispredict
 // squashes — allocates nothing.
 func TestStepAllocatesNothing(t *testing.T) {
-	p := buildProg(t, `
-main:
-	lw    t0, 0(sp)
-	add   t1, t0, t2
-	div   t3, t1, t0
-	fadd  f1, f2, f3
-	fsqrt f4, f1
-	sw    t1, 4(sp)
-	addi  t2, t2, 1
-	bne   t2, zero, main
-	j     main
-`)
-	env := &loopEnv{branchPC: p.Entry + 7*isa.WordSize}
-	pl, err := New(DefaultParams(), p, env, p.Entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl, env := newLoopPipeline(t)
 	for i := 0; i < 1000; i++ {
 		pl.Step()
 	}
