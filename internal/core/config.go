@@ -73,8 +73,8 @@ type Config struct {
 	Shared *memo.SharedCache
 
 	// FaultInject, when non-nil, arms deterministic fault injection at
-	// every site the run passes through: memo allocation failures and chain
-	// bit flips (via cfg.Memo.Inject) and snapshot IO faults (transient
+	// every site the run passes through: memo allocation failures (the
+	// engine's Cache.Inject), chain bit flips and snapshot IO faults (transient
 	// read/write errors, post-read truncation). It exists for the chaos
 	// modes and the fault-tolerance tests; see docs/ROBUSTNESS.md. Every
 	// injected fault must end in a self-healed bit-identical Result or a

@@ -39,8 +39,6 @@ type driver struct {
 	retiredStores uint64
 	halted        bool
 
-	popsSinceTrim int
-
 	// obs is nil unless an Observer is attached; every hook through it is
 	// nil-receiver safe. The driver emits the exactly-once events
 	// (rollback, checkpoint stall): its methods run once per real
@@ -138,8 +136,8 @@ func (d *driver) Rollback(recIdx int) (int, int) {
 	return rec.LQLen, rec.SQLen
 }
 
-// RetirePop advances queue heads after in-order retirement and periodically
-// releases the consumed queue prefixes back to the direct-execution engine.
+// RetirePop advances queue heads after in-order retirement and releases the
+// consumed queue prefixes back to the direct-execution engine.
 func (d *driver) RetirePop(insts, loads, stores, recs int) {
 	d.retiredInsts += uint64(insts)
 	d.retiredLoads += uint64(loads)
@@ -147,12 +145,7 @@ func (d *driver) RetirePop(insts, loads, stores, recs int) {
 	d.lqHead += loads
 	d.sqHead += stores
 	d.recHead += recs
-
-	d.popsSinceTrim += insts
-	if d.popsSinceTrim >= 1<<16 {
-		d.popsSinceTrim = 0
-		d.eng.Trim(d.recHead, d.lqHead, d.sqHead)
-	}
+	d.eng.Trim(d.recHead, d.lqHead, d.sqHead)
 }
 
 func (d *driver) HaltRetired() { d.halted = true }

@@ -122,10 +122,8 @@ func RunContext(ctx context.Context, prog *program.Program, cfg Config) (res *Re
 		pl.RegisterMetrics(o.Metrics())
 	}
 	if cfg.Memoize {
-		if cfg.FaultInject != nil {
-			cfg.Memo.Inject = cfg.FaultInject
-		}
 		eng := memo.NewEngine(pl, drv, cfg.Memo)
+		eng.Cache.Inject = cfg.FaultInject
 		eng.Obs = o
 		if ctx.Done() != nil {
 			eng.Cancel = func() error { return ctx.Err() }

@@ -427,9 +427,11 @@ func (e *Engine) Store(i int) StoreRec { return e.sq[i-e.sqBase] }
 // Rec returns the control record with absolute index i.
 func (e *Engine) Rec(i int) ControlRec { return e.recs[i-e.recBase] }
 
-// Trim discards queue prefixes that the driver has fully consumed (retired).
-// Indices below the given absolute positions become invalid. Trimming never
-// crosses a live checkpoint, so rollback always remains possible.
+// Trim discards queue prefixes that the driver has fully consumed (retired);
+// indices below the given absolute positions may become invalid. Trimming
+// never crosses a live checkpoint, so rollback always remains possible. A
+// queue is copied down only once its consumed prefix is at least half its
+// length, so trimming at every retirement costs amortized O(1) per entry.
 func (e *Engine) Trim(rec, lq, sq int) {
 	for i := range e.bq {
 		cp := &e.bq[i]
@@ -443,16 +445,17 @@ func (e *Engine) Trim(rec, lq, sq int) {
 			sq = cp.sqLen
 		}
 	}
-	if n := rec - e.recBase; n > 0 {
-		e.recs = append(e.recs[:0], e.recs[n:]...)
-		e.recBase = rec
+	e.recs, e.recBase = trimQueue(e.recs, e.recBase, rec)
+	e.lq, e.lqBase = trimQueue(e.lq, e.lqBase, lq)
+	e.sq, e.sqBase = trimQueue(e.sq, e.sqBase, sq)
+}
+
+// trimQueue drops the entries of q (whose first entry has absolute index
+// base) below absolute index head, once they are at least half of q. It
+// returns the queue and its new base.
+func trimQueue[T any](q []T, base, head int) ([]T, int) {
+	if n := head - base; n > 0 && 2*n >= len(q) {
+		return append(q[:0], q[n:]...), head
 	}
-	if n := lq - e.lqBase; n > 0 {
-		e.lq = append(e.lq[:0], e.lq[n:]...)
-		e.lqBase = lq
-	}
-	if n := sq - e.sqBase; n > 0 {
-		e.sq = append(e.sq[:0], e.sq[n:]...)
-		e.sqBase = sq
-	}
+	return q, base
 }

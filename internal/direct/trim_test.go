@@ -27,8 +27,17 @@ loop:
 	if loads != 100 || stores != 100 {
 		t.Fatalf("loads=%d stores=%d", loads, stores)
 	}
+	// A consumed prefix under half a queue is left in place: copying it
+	// down at every retirement would cost O(queue length) each time.
+	eng.Trim(eng.recBase+1, 1, 1)
+	if len(eng.lq) != loads || len(eng.sq) != stores || eng.Load(1).Width != 4 {
+		t.Errorf("short prefix copied down: lq %d, sq %d entries", len(eng.lq), len(eng.sq))
+	}
 	// Consume most of the queues, as retirement would.
 	eng.Trim(recs-2, loads-3, stores-3)
+	if len(eng.lq) != 3 || len(eng.sq) != 3 || len(eng.recs) != 2 {
+		t.Errorf("consumed prefixes kept: lq %d, sq %d, recs %d entries", len(eng.lq), len(eng.sq), len(eng.recs))
+	}
 	// Absolute indices above the trim point must still work.
 	if eng.Load(loads-1).Width != 4 || eng.Store(stores-1).Width != 4 {
 		t.Error("post-trim accessors broken")

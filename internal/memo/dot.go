@@ -70,14 +70,14 @@ func (c *Cache) ExportDot(w io.Writer, maxConfigs int) error {
 			label = fmt.Sprintf("rollback rec+%d", a.rel)
 		}
 		fmt.Fprintf(w, "  %s [label=\"%s\" shape=ellipse];\n", actID(a), label)
-		if a.next != nil {
-			fmt.Fprintf(w, "  %s -> %s;\n", actID(a), actID(a.next))
-			emitChain(a.next)
+		for k := a.next; k != nil; k = k.sib {
+			if a.kind.labelled() {
+				fmt.Fprintf(w, "  %s -> %s [label=\"%s\"];\n", actID(a), actID(k), edgeLabel(k.label))
+			} else {
+				fmt.Fprintf(w, "  %s -> %s;\n", actID(a), actID(k))
+			}
+			emitChain(k)
 		}
-		a.eachEdge(func(l int64, to *action) {
-			fmt.Fprintf(w, "  %s -> %s [label=\"%s\"];\n", actID(a), actID(to), edgeLabel(l))
-			emitChain(to)
-		})
 		if a.nextCfg != nil {
 			if kept[a.nextCfg.key] {
 				fmt.Fprintf(w, "  %s -> %s [style=dashed];\n", actID(a), cfgID(a.nextCfg))

@@ -74,10 +74,10 @@ func (g *Graph) Footprint() int {
 }
 
 // ExportGraph flattens the cache into a Graph. The traversal is iterative
-// (an explicit stack, like collect and dump) so multi-million-action chains
-// cannot overflow the goroutine stack, and deterministic: configurations
-// sort by key, and each chain walks node → unlabelled successor → labelled
-// edges in ascending label order.
+// (an explicit stack, like collect) so multi-million-action chains cannot
+// overflow the goroutine stack, and deterministic: configurations sort by
+// key, and each chain is walked depth first, successors in ascending label
+// order.
 func (c *Cache) ExportGraph() *Graph {
 	cfgs := make([]*config, 0, c.tab.n)
 	c.tab.each(func(cf *config) { cfgs = append(cfgs, cf) })
@@ -88,25 +88,13 @@ func (c *Cache) ExportGraph() *Graph {
 	}
 
 	// Pass 1: assign action ids in traversal order. The p-action graph is
-	// a tree (see collect), so every node is pushed exactly once.
+	// a tree (see collect), so every node is pushed exactly once. Popping a
+	// node pushes its next sibling, then its first successor, so a subtree
+	// is numbered before the siblings that follow it. A chain head has no
+	// siblings.
 	var order []*action
 	actID := make(map[*action]int64)
 	stack := make([]*action, 0, 64)
-	var kidScratch []*action
-	pushChildren := func(a *action) {
-		// Children in reverse so the pop order is next first, then edges
-		// ascending by label. eachEdge sorts inline and overflow edges
-		// together, so the order is independent of which labels happened
-		// to land in the inline slots.
-		kidScratch = kidScratch[:0]
-		a.eachEdge(func(_ int64, to *action) { kidScratch = append(kidScratch, to) })
-		for i := len(kidScratch) - 1; i >= 0; i-- {
-			stack = append(stack, kidScratch[i])
-		}
-		if a.next != nil {
-			stack = append(stack, a.next)
-		}
-	}
 	for _, cf := range cfgs {
 		if cf.first == nil {
 			continue
@@ -117,7 +105,12 @@ func (c *Cache) ExportGraph() *Graph {
 			stack = stack[:len(stack)-1]
 			actID[a] = int64(len(order))
 			order = append(order, a)
-			pushChildren(a)
+			if a.sib != nil {
+				stack = append(stack, a.sib)
+			}
+			if a.next != nil {
+				stack = append(stack, a.next)
+			}
 		}
 	}
 
@@ -141,16 +134,19 @@ func (c *Cache) ExportGraph() *Graph {
 			Cycles: a.cycles, Insts: a.insts, Loads: a.loads, Stores: a.stores, Recs: a.recs,
 			Next: -1, NextCfg: -1,
 		}
-		if a.next != nil {
-			ga.Next = actID[a.next]
-		}
 		if a.nextCfg != nil {
 			ga.NextCfg = cfgID[a.nextCfg]
 		}
-		a.eachEdge(func(l int64, to *action) {
-			ga.Labels = append(ga.Labels, l)
-			ga.Targets = append(ga.Targets, actID[to])
-		})
+		if !a.kind.labelled() {
+			if a.next != nil {
+				ga.Next = actID[a.next]
+			}
+		} else {
+			for k := a.next; k != nil; k = k.sib {
+				ga.Labels = append(ga.Labels, k.label)
+				ga.Targets = append(ga.Targets, actID[k])
+			}
+		}
 		g.Actions[i] = ga
 	}
 	return g
@@ -197,8 +193,12 @@ func InjectGraphFaults(g *Graph, inj *faultinject.Injector) int {
 // may discard them, never corrupt them.
 //
 // Structural validation is defense in depth behind the snapshot layer's
-// checksums; any inconsistency returns an error and leaves behaviour
-// undefined only for the rejected graph, never a panic.
+// checksums. The graph must be a tree: every action is referenced exactly
+// once — as a chain head, a Next or an edge target — and reachable from a
+// chain head, and its kind agrees with its successor shape (Labels for the
+// labelled kinds, Next for the rest). Any inconsistency returns an error,
+// never a panic; chain heads are wired last, so a rejected graph leaves
+// only shells behind.
 func (c *Cache) ImportGraph(g *Graph) error {
 	if c.tab.n != 0 || len(c.arena.slabs) != 0 {
 		return fmt.Errorf("memo: import into a non-empty cache")
@@ -206,22 +206,37 @@ func (c *Cache) ImportGraph(g *Graph) error {
 	if len(g.Keys) != len(g.First) {
 		return fmt.Errorf("memo: import: %d keys but %d chain heads", len(g.Keys), len(g.First))
 	}
-	nAct := int64(len(g.Actions))
-	checkAct := func(id int64) error {
-		if id < -1 || id >= nAct {
-			return fmt.Errorf("memo: import: action index %d out of range [-1,%d)", id, nAct)
+	// Allocate every node first so references can be wired in one forward
+	// pass regardless of graph shape.
+	acts := make([]*action, len(g.Actions))
+	for i := range acts {
+		acts[i] = c.arena.alloc()
+	}
+	referenced := make([]bool, len(acts))
+	// ref resolves an action reference (-1 for none), claiming the action
+	// so that a second reference to it is rejected.
+	ref := func(id int64) (*action, error) {
+		if id < -1 || id >= int64(len(acts)) {
+			return nil, fmt.Errorf("memo: import: action index %d out of range [-1,%d)", id, len(acts))
 		}
-		return nil
+		if id < 0 {
+			return nil, nil
+		}
+		if referenced[id] {
+			return nil, fmt.Errorf("memo: import: action %d referenced more than once", id)
+		}
+		referenced[id] = true
+		return acts[id], nil
 	}
 
 	// Configurations: intern the decoded keys directly.
 	cfgs := make([]*config, len(g.Keys))
 	for i, key := range g.Keys {
-		h := hashString(key)
-		if c.tab.findString(key, h) != nil {
+		h := hashKey(key)
+		if find(c.tab, key, h) != nil {
 			return fmt.Errorf("memo: import: duplicate configuration key (%d bytes)", len(key))
 		}
-		if err := checkAct(g.First[i]); err != nil {
+		if _, err := ref(g.First[i]); err != nil {
 			return err
 		}
 		cf := &config{key: key, hash: h, gen: c.gen, old: true}
@@ -230,19 +245,14 @@ func (c *Cache) ImportGraph(g *Graph) error {
 		c.bytes += len(key) + configOverhead
 	}
 
-	// Actions: allocate every node first so references can be wired in one
-	// forward pass regardless of graph shape.
-	acts := make([]*action, len(g.Actions))
-	for i := range g.Actions {
-		acts[i] = c.arena.alloc()
-	}
 	for i := range g.Actions {
 		ga := &g.Actions[i]
 		if ga.Kind > uint8(actLink) {
 			return fmt.Errorf("memo: import: action %d has bad kind %d", i, ga.Kind)
 		}
-		if err := checkAct(ga.Next); err != nil {
-			return err
+		kind := actionKind(ga.Kind)
+		if kind.labelled() && ga.Next >= 0 || !kind.labelled() && len(ga.Labels) > 0 {
+			return fmt.Errorf("memo: import: %v action %d has the wrong successor shape", kind, i)
 		}
 		if ga.NextCfg < -1 || ga.NextCfg >= int64(len(cfgs)) {
 			return fmt.Errorf("memo: import: action %d links to config %d of %d", i, ga.NextCfg, len(cfgs))
@@ -251,27 +261,58 @@ func (c *Cache) ImportGraph(g *Graph) error {
 			return fmt.Errorf("memo: import: action %d has %d labels but %d targets", i, len(ga.Labels), len(ga.Targets))
 		}
 		a := acts[i]
-		a.kind = actionKind(ga.Kind)
+		a.kind = kind
 		a.rel = ga.Rel
 		a.cycles = ga.Cycles
 		a.insts, a.loads, a.stores, a.recs = ga.Insts, ga.Loads, ga.Stores, ga.Recs
 		a.gen, a.old = c.gen, true
-		if ga.Next >= 0 {
-			a.next = acts[ga.Next]
+		next, err := ref(ga.Next)
+		if err != nil {
+			return err
 		}
+		a.next = next
 		if ga.NextCfg >= 0 {
 			a.nextCfg = cfgs[ga.NextCfg]
 		}
+		tail := &a.next
 		for k, l := range ga.Labels {
 			if k > 0 && l <= ga.Labels[k-1] {
 				return fmt.Errorf("memo: import: action %d labels not strictly ascending", i)
 			}
-			if err := checkAct(ga.Targets[k]); err != nil {
+			t, err := ref(ga.Targets[k])
+			if err != nil {
 				return err
 			}
-			c.bytes += a.setEdge(l, acts[ga.Targets[k]])
+			if t == nil {
+				return fmt.Errorf("memo: import: action %d has no target for label %d", i, l)
+			}
+			t.label = l
+			*tail = t
+			tail = &t.sib
 		}
-		c.bytes += actionBytes
+		c.bytes += actionBytes + a.extraEdgeBytes()
+	}
+
+	// With every action referenced at most once, a walk from the chain
+	// heads visits each node once; it must visit them all.
+	reached := 0
+	stack := make([]*action, 0, 64)
+	for _, first := range g.First {
+		if first < 0 {
+			continue
+		}
+		stack = append(stack, acts[first])
+		for len(stack) > 0 {
+			a := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			reached++
+			for k := a.next; k != nil; k = k.sib {
+				stack = append(stack, k)
+			}
+		}
+	}
+	if reached != len(acts) {
+		return fmt.Errorf("memo: import: %d of %d actions unreachable from a chain head", len(acts)-reached, len(acts))
 	}
 	for i, first := range g.First {
 		if first >= 0 {

@@ -6,8 +6,8 @@ import (
 )
 
 // buildGraphCache populates a cache with two linked configurations, a
-// branchy action chain (including enough labelled edges to overflow the
-// inline slots), and a shell config — the structural cases ExportGraph and
+// branchy action chain (including enough labelled successors to be charged
+// edgeExtraBytes), and a shell config — the structural cases ExportGraph and
 // ImportGraph must preserve.
 func buildGraphCache() *Cache {
 	c := NewCache(DefaultOptions())
@@ -21,7 +21,7 @@ func buildGraphCache() *Cache {
 
 	out := c.newAction(actOutcome, 0)
 	adv.next = out
-	// Four labelled successors: two inline, two overflow. Edge charges go
+	// Four labelled successors, two of them charged. Edge charges go
 	// through addBytes exactly like the recorder's.
 	for i, k := range []actionKind{actIssueStore, actCancelLoad, actRollback, actHalt} {
 		tgt := c.newAction(k, int32(i))
@@ -70,7 +70,9 @@ func TestGraphExportImportRoundTrip(t *testing.T) {
 		t.Fatal("imported chain head lost")
 	}
 	n := 0
-	cf.first.next.eachEdge(func(_ int64, to *action) { n++ })
+	for k := cf.first.next.next; k != nil; k = k.sib {
+		n++
+	}
 	if n != 4 {
 		t.Errorf("imported edge count = %d, want 4", n)
 	}
@@ -84,8 +86,8 @@ func TestGraphExportDeterministicAcrossHistory(t *testing.T) {
 	if err := c2.ImportGraph(c1.ExportGraph()); err != nil {
 		t.Fatal(err)
 	}
-	// c2's arena layout and inline-edge placement differ from c1's; the
-	// exports must not.
+	// c2's arena layout and insertion order differ from c1's; the exports
+	// must not.
 	if !reflect.DeepEqual(c1.ExportGraph(), c2.ExportGraph()) {
 		t.Fatal("export depends on construction history")
 	}
@@ -106,8 +108,29 @@ func TestGraphImportRejectsCorruptImages(t *testing.T) {
 			l[0], l[1] = l[1], l[0]
 		},
 		"target out of range": func(g *Graph) { g.Actions[1].Targets[0] = int64(len(g.Actions)) },
+		"absent target":       func(g *Graph) { g.Actions[1].Targets[0] = -1 },
 		"duplicate key":       func(g *Graph) { g.Keys[1] = g.Keys[0] },
 		"ragged first":        func(g *Graph) { g.First = g.First[:1] },
+		// A tree is what replay's act = act.next walk relies on to end.
+		"self-referencing next": func(g *Graph) {
+			i := findKind(g, actIssueStore)
+			g.Actions[i].Next = int64(i)
+		},
+		"target under two labels": func(g *Graph) {
+			i := findKind(g, actOutcome)
+			g.Actions[i].Targets[1] = g.Actions[i].Targets[0]
+		},
+		"labelled kind with next": func(g *Graph) {
+			i := findKind(g, actIssueStore)
+			g.Actions[i].Kind = uint8(actOutcome)
+		},
+		"unlabelled kind with labels": func(g *Graph) {
+			i := findKind(g, actOutcome)
+			g.Actions[i].Kind = uint8(actRollback)
+		},
+		"unreachable action": func(g *Graph) {
+			g.Actions = append(g.Actions, GraphAction{Kind: uint8(actHalt), Next: -1, NextCfg: -1})
+		},
 	}
 	for name, mutate := range mutations {
 		c := fresh()
@@ -130,6 +153,16 @@ func TestGraphImportRejectsCorruptImages(t *testing.T) {
 	if err := c.ImportGraph(deepCopyGraph(base)); err == nil {
 		t.Error("import into a non-empty cache accepted")
 	}
+}
+
+// findKind returns the index of g's first action of kind k.
+func findKind(g *Graph, k actionKind) int {
+	for i := range g.Actions {
+		if actionKind(g.Actions[i].Kind) == k {
+			return i
+		}
+	}
+	panic("no " + k.String() + " action")
 }
 
 func deepCopyGraph(g *Graph) *Graph {

@@ -2,7 +2,6 @@ package memo
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -16,7 +15,7 @@ func TestConfigTableFindInsertGrow(t *testing.T) {
 	for i := 0; i < n; i++ {
 		key := []byte(fmt.Sprintf("key-%04d", i))
 		h := hashKey(key)
-		if tab.find(key, h) != nil {
+		if find(tab, key, h) != nil {
 			t.Fatalf("phantom hit for %q", key)
 		}
 		cf := &config{key: string(key), hash: h}
@@ -31,22 +30,27 @@ func TestConfigTableFindInsertGrow(t *testing.T) {
 	}
 	for i, cf := range cfgs {
 		key := []byte(cf.key)
-		if got := tab.find(key, hashKey(key)); got != cf {
+		if got := find(tab, key, hashKey(key)); got != cf {
 			t.Fatalf("entry %d lost after grow: got %v", i, got)
 		}
-		if got := tab.findString(cf.key, cf.hash); got != cf {
-			t.Fatalf("findString mismatch for entry %d", i)
+		if got := find(tab, cf.key, cf.hash); got != cf {
+			t.Fatalf("interned-key find mismatch for entry %d", i)
 		}
 	}
-	if tab.find([]byte("absent"), hashKey([]byte("absent"))) != nil {
+	if find(tab, []byte("absent"), hashKey([]byte("absent"))) != nil {
 		t.Error("phantom hit after grow")
+	}
+	// A raw-key probe must not allocate: it runs at every episode boundary.
+	key := []byte(cfgs[n/2].key)
+	if allocs := testing.AllocsPerRun(100, func() { find(tab, key, hashKey(key)) }); allocs != 0 {
+		t.Errorf("find allocates %v times per probe", allocs)
 	}
 }
 
 func TestConfigTableHashConsistency(t *testing.T) {
 	for _, s := range []string{"", "a", "key-0042", "\x00\xff\x00"} {
-		if hashKey([]byte(s)) != hashString(s) {
-			t.Errorf("hashKey/hashString disagree on %q", s)
+		if hashKey([]byte(s)) != hashKey(s) {
+			t.Errorf("hashKey disagrees on %q as bytes and as a string", s)
 		}
 	}
 }
@@ -58,7 +62,7 @@ func TestConfigTableEachDeterministic(t *testing.T) {
 		tab := newConfigTable(0)
 		for i := 0; i < 300; i++ {
 			key := fmt.Sprintf("cfg-%03d", i*7%300)
-			tab.insert(&config{key: key, hash: hashString(key)})
+			tab.insert(&config{key: key, hash: hashKey(key)})
 		}
 		var order []string
 		tab.each(func(cf *config) { order = append(order, cf.key) })
@@ -136,9 +140,8 @@ func TestArenaPointerStability(t *testing.T) {
 }
 
 // TestCollectEdgeOverflowAccounting is the regression test for the
-// edge-overflow byte accounting: when clipping frees inline slots and
-// shrinks the overflow map, surviving overflow edges are compacted inline
-// and the edgeExtraBytes charge reflects the surviving overflow count.
+// edge-overflow byte accounting: when clipping removes successors, the
+// edgeExtraBytes charge reflects the surviving successor count.
 func TestCollectEdgeOverflowAccounting(t *testing.T) {
 	c := NewCache(Options{Policy: PolicyGC, Limit: 1})
 	cfgA, _ := c.getOrCreate([]byte{0, 0, 0, 0, 0, 0})
@@ -149,11 +152,11 @@ func TestCollectEdgeOverflowAccounting(t *testing.T) {
 		targets[i] = c.newAction(actAdvance, 0)
 		c.addBytes(hub.setEdge(int64(i*10), targets[i]))
 	}
-	// Labels 0,10 sit inline; 20..50 overflowed (4 * edgeExtraBytes).
+	// Six successors: four charged edgeExtraBytes.
 
-	// Age the inline targets (0, 10) and two overflow targets (40, 50);
-	// keep 20 and 30 alive. After collection both survivors fit the freed
-	// inline slots, so no overflow bytes may remain charged.
+	// Age the successors labelled 0, 10, 40 and 50; keep 20 and 30 alive.
+	// After collection two successors remain, so no overflow bytes may
+	// remain charged.
 	c.mark(cfgA)
 	c.markAct(hub)
 	targets[0].gen, targets[1].gen = 0, 0
@@ -163,10 +166,10 @@ func TestCollectEdgeOverflowAccounting(t *testing.T) {
 	c.Reclaim()
 
 	if hub.edge(20) != targets[2] || hub.edge(30) != targets[3] {
-		t.Fatal("surviving overflow edges lost in compaction")
+		t.Fatal("surviving edges lost in the clip")
 	}
-	if hub.edges != nil {
-		t.Errorf("empty overflow map not released: %v", hub.edges)
+	if hub.next != targets[2] || targets[2].sib != targets[3] || targets[3].sib != nil {
+		t.Error("survivors not relinked in label order")
 	}
 	for _, l := range []int64{0, 10, 40, 50} {
 		if hub.edge(l) != nil {
@@ -175,14 +178,14 @@ func TestCollectEdgeOverflowAccounting(t *testing.T) {
 	}
 	want := len(cfgA.key) + configOverhead + 3*actionBytes // hub + 2 survivors
 	if c.Bytes() != want {
-		t.Errorf("bytes = %d, want %d (no overflow charge after compaction)",
+		t.Errorf("bytes = %d, want %d (no overflow charge for two survivors)",
 			c.Bytes(), want)
 	}
 }
 
-// Partial compaction: three overflow survivors with one freed inline slot —
-// one promotes, two stay in the map and are charged.
-func TestCollectEdgeOverflowPartialCompaction(t *testing.T) {
+// TestCollectEdgeOverflowPartialSurvival: four of five successors survive —
+// two of them beyond the second, which stay charged.
+func TestCollectEdgeOverflowPartialSurvival(t *testing.T) {
 	c := NewCache(Options{Policy: PolicyGC, Limit: 1})
 	cfgA, _ := c.getOrCreate([]byte{0, 0, 0, 0, 0, 0})
 	hub := c.newAction(actOutcome, 0)
@@ -194,7 +197,7 @@ func TestCollectEdgeOverflowPartialCompaction(t *testing.T) {
 	}
 	c.mark(cfgA)
 	c.markAct(hub)
-	targets[0].gen = 0 // frees inline slot l1=0
+	targets[0].gen = 0 // the lowest label dies
 	for _, tg := range targets[1:] {
 		c.markAct(tg)
 	}
@@ -205,8 +208,8 @@ func TestCollectEdgeOverflowPartialCompaction(t *testing.T) {
 			t.Fatalf("edge %d lost", l)
 		}
 	}
-	if len(hub.edges) != 2 {
-		t.Fatalf("overflow map has %d entries, want 2", len(hub.edges))
+	if hub.edge(0) != nil || hub.next != targets[1] {
+		t.Fatal("dead lowest edge not clipped from the list head")
 	}
 	want := len(cfgA.key) + configOverhead + 5*actionBytes + 2*edgeExtraBytes
 	if c.Bytes() != want {
@@ -215,7 +218,7 @@ func TestCollectEdgeOverflowPartialCompaction(t *testing.T) {
 }
 
 // TestCollectDeepChainIterative: a chain far deeper than any goroutine
-// stack could absorb recursively must collect (and dump) without overflow.
+// stack could absorb recursively must collect without overflow.
 func TestCollectDeepChainIterative(t *testing.T) {
 	c := NewCache(Options{Policy: PolicyGC, Limit: 1})
 	cfg, _ := c.getOrCreate([]byte{0, 0, 0, 0, 0, 0})
@@ -243,13 +246,12 @@ func TestCollectDeepChainIterative(t *testing.T) {
 	}
 }
 
-// TestDumpDeepChainIterative: dump must also survive depth without
-// recursion. The dump format indents per level, so output size is quadratic
-// in chain depth — keep this chain just deep enough to prove the point.
-func TestDumpDeepChainIterative(t *testing.T) {
+// TestExportGraphDeepChainIterative: export must also survive depth without
+// recursion, numbering the chain in order.
+func TestExportGraphDeepChainIterative(t *testing.T) {
 	c := NewCache(DefaultOptions())
 	cfg, _ := c.getOrCreate([]byte{0, 0, 0, 0, 0, 0})
-	const depth = 2000
+	const depth = 200_000
 	head := c.newAction(actAdvance, 0)
 	cfg.first = head
 	cur := head
@@ -258,9 +260,17 @@ func TestDumpDeepChainIterative(t *testing.T) {
 		cur.next = n
 		cur = n
 	}
-	s := c.dump(cfg.key)
-	if got := strings.Count(s, "\n"); got != depth {
-		t.Errorf("dump has %d lines, want %d", got, depth)
+	g := c.ExportGraph()
+	if len(g.Actions) != depth || g.First[0] != 0 {
+		t.Fatalf("exported %d actions from head %d, want %d from 0", len(g.Actions), g.First[0], depth)
+	}
+	for i := 0; i < depth-1; i++ {
+		if g.Actions[i].Next != int64(i+1) {
+			t.Fatalf("action %d: Next = %d, want %d", i, g.Actions[i].Next, i+1)
+		}
+	}
+	if g.Actions[depth-1].Next != -1 {
+		t.Error("chain tail has a successor")
 	}
 }
 

@@ -26,7 +26,6 @@ package memo
 import (
 	"fmt"
 
-	"fastsim/internal/faultinject"
 	"fastsim/internal/stats"
 )
 
@@ -101,11 +100,6 @@ type Options struct {
 	// every hit is verified and no corrupt chain can ever influence a
 	// statistic; sampling is deterministic (every k-th hit), never random.
 	VerifyRate float64
-
-	// Inject, when non-nil, arms deterministic fault injection at the
-	// memo sites (allocation failure, chain bit flips); tests and the
-	// opt-in chaos modes only. Nil costs one pointer check per allocation.
-	Inject *faultinject.Injector
 }
 
 // DefaultOptions returns an unbounded p-action cache.

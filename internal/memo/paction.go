@@ -1,10 +1,6 @@
 package memo
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"fastsim/internal/faultinject"
 	"fastsim/internal/obs"
 )
@@ -31,11 +27,19 @@ func (k actionKind) String() string {
 		"issue-store", "cancel-load", "rollback", "halt", "link"}[k]
 }
 
+// labelled reports whether actions of kind k branch on outcome-labelled
+// edges; every other kind has at most one, unlabelled, successor.
+func (k actionKind) labelled() bool {
+	return k == actOutcome || k == actIssueLoad || k == actPollLoad
+}
+
 // Approximate memory footprint charged per allocation, mirroring the
-// paper's p-action cache accounting.
+// paper's p-action cache accounting: a node covers two successors, and each
+// one beyond is charged as an extra edge. actionBytes is also the node's Go
+// size (TestActionLayout pins it).
 const (
-	actionBytes     = 64 // one action node, including two inline edges
-	edgeExtraBytes  = 24 // each edge beyond the inline pair
+	actionBytes     = 64 // one action node, with up to two successors
+	edgeExtraBytes  = 24 // each successor beyond the second
 	configOverhead  = 48 // config struct + hash-table slot
 	readyEdgeLabel  = -1 // PollLoad label when the data was ready
 	labelKindShift  = 34 // outcome labels: kind in high bits, payload below
@@ -45,9 +49,14 @@ const (
 	labelKindStall  = 4 << labelKindShift
 )
 
-// action is one node of the p-action graph.
+// action is one node of the p-action graph. The graph is a tree stored
+// first-child/next-sibling: next is the first successor and sib the
+// parent's next one. An unlabelled kind has at most the one successor; a
+// labelled kind's successors form a list in ascending label order, each
+// carrying the label of its own incoming edge.
 type action struct {
 	kind actionKind
+	old  bool  // survived a minor collection (generational policy)
 	rel  int32 // queue slot relative to the episode-start head
 
 	// actAdvance payload: cycles simulated and instructions retired in
@@ -58,78 +67,50 @@ type action struct {
 	stores int32
 	recs   int32
 
-	next    *action // successor for unlabelled kinds
-	nextCfg *config // actLink target
-
-	// Labelled successors: two inline slots, then an overflow map.
-	l1, l2 int64
-	e1, e2 *action
-	edges  map[int64]*action
-
 	gen uint32 // generation of last use (collection policies)
-	old bool   // survived a minor collection (generational policy)
+
+	next    *action // first successor
+	sib     *action // next successor of this node's parent
+	nextCfg *config // actLink target
+	label   int64   // label of the edge into this node (labelled parents)
 }
 
 // edge returns the successor for a label, or nil.
 func (a *action) edge(label int64) *action {
-	if a.e1 != nil && a.l1 == label {
-		return a.e1
-	}
-	if a.e2 != nil && a.l2 == label {
-		return a.e2
-	}
-	if a.edges != nil {
-		return a.edges[label]
+	for k := a.next; k != nil && k.label <= label; k = k.sib {
+		if k.label == label {
+			return k
+		}
 	}
 	return nil
 }
 
-// setEdge installs a successor for a label and returns the bytes charged.
+// setEdge links to as the successor for label, which must not have one
+// yet, and returns the bytes charged: edgeExtraBytes once a node has more
+// than two successors.
 func (a *action) setEdge(label int64, to *action) int {
-	switch {
-	case a.e1 == nil || a.l1 == label:
-		a.l1, a.e1 = label, to
-		return 0
-	case a.e2 == nil || a.l2 == label:
-		a.l2, a.e2 = label, to
-		return 0
-	default:
-		if a.edges == nil {
-			a.edges = make(map[int64]*action)
-		}
-		if _, exists := a.edges[label]; exists {
-			a.edges[label] = to
-			return 0
-		}
-		a.edges[label] = to
+	p := &a.next
+	for *p != nil && (*p).label < label {
+		p = &(*p).sib
+	}
+	to.label, to.sib = label, *p
+	*p = to
+	if a.next.sib != nil && a.next.sib.sib != nil {
 		return edgeExtraBytes
 	}
+	return 0
 }
 
-// eachEdge calls f for every labelled successor in ascending label order,
-// so traversals that reach output (dump, DOT export) are byte-stable across
-// runs. Replay never iterates edges — it follows one label via edge() — so
-// the sort is off the hot path.
-func (a *action) eachEdge(f func(label int64, to *action)) {
-	type labelled struct {
-		l  int64
-		to *action
+// extraEdgeBytes is the charge for a's successors beyond the second.
+func (a *action) extraEdgeBytes() int {
+	n := 0
+	for k := a.next; k != nil; k = k.sib {
+		n++
 	}
-	es := make([]labelled, 0, 2+len(a.edges))
-	if a.e1 != nil {
-		es = append(es, labelled{a.l1, a.e1})
+	if n <= 2 {
+		return 0
 	}
-	if a.e2 != nil {
-		es = append(es, labelled{a.l2, a.e2})
-	}
-	//fastsim:order-independent: edges are collected here and sorted by label below, before f observes them
-	for l, t := range a.edges {
-		es = append(es, labelled{l, t})
-	}
-	sort.Slice(es, func(i, j int) bool { return es[i].l < es[j].l })
-	for _, e := range es {
-		f(e.l, e.to)
-	}
+	return (n - 2) * edgeExtraBytes
 }
 
 // config is one memoized µ-architecture configuration.
@@ -144,6 +125,11 @@ type config struct {
 
 // Cache is the p-action cache with its replacement policy.
 type Cache struct {
+	// Inject, when non-nil, arms the memo.alloc fault site: an action
+	// allocation fails by panicking with a faultinject.Failure. Chaos
+	// testing only; nil costs one pointer check per allocation.
+	Inject *faultinject.Injector
+
 	opts   Options
 	tab    *configTable
 	arena  actionArena
@@ -211,7 +197,7 @@ func (c *Cache) Len() int { return c.tab.n }
 
 // lookup finds a configuration without allocating.
 func (c *Cache) lookup(key []byte) *config {
-	return c.tab.find(key, hashKey(key))
+	return find(c.tab, key, hashKey(key))
 }
 
 // getOrCreate returns the configuration for key, allocating it if needed.
@@ -220,7 +206,7 @@ func (c *Cache) lookup(key []byte) *config {
 // actually created.
 func (c *Cache) getOrCreate(key []byte) (cfg *config, created bool) {
 	h := hashKey(key)
-	if cfg = c.tab.find(key, h); cfg != nil {
+	if cfg = find(c.tab, key, h); cfg != nil {
 		return cfg, false
 	}
 	cfg = &config{key: string(key), hash: h, gen: c.gen}
@@ -238,8 +224,8 @@ func (c *Cache) getOrCreate(key []byte) (cfg *config, created bool) {
 
 // newAction allocates an action node from the arena.
 func (c *Cache) newAction(kind actionKind, rel int32) *action {
-	if c.opts.Inject != nil && c.opts.Inject.Fire(faultinject.SiteMemoAlloc) {
-		panic(faultinject.Failure{Site: faultinject.SiteMemoAlloc, N: c.opts.Inject.Seen(faultinject.SiteMemoAlloc)})
+	if c.Inject != nil && c.Inject.Fire(faultinject.SiteMemoAlloc) {
+		panic(faultinject.Failure{Site: faultinject.SiteMemoAlloc, N: c.Inject.Seen(faultinject.SiteMemoAlloc)})
 	}
 	c.stats.Actions++
 	c.live++
@@ -341,22 +327,9 @@ func (c *Cache) evictChain(cfg *config) uint64 {
 		a := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		evicted++
-		c.bytes -= actionBytes
-		if a.next != nil {
-			stack = append(stack, a.next)
-		}
-		if a.e1 != nil {
-			stack = append(stack, a.e1)
-		}
-		if a.e2 != nil {
-			stack = append(stack, a.e2)
-		}
-		if a.edges != nil {
-			c.bytes -= len(a.edges) * edgeExtraBytes
-			//fastsim:order-independent: eviction only pushes targets and adjusts counters; no order reaches output
-			for _, t := range a.edges {
-				stack = append(stack, t)
-			}
+		c.bytes -= actionBytes + a.extraEdgeBytes()
+		for k := a.next; k != nil; k = k.sib {
+			stack = append(stack, k)
 		}
 		*a = action{} // gen 0, old false: dead at the next sweep
 	}
@@ -417,81 +390,26 @@ func (c *Cache) collect(minorOnly bool) {
 	refSeen := make(map[*config]bool)
 	bytes := 0
 	var survivors uint64
-	var labels []int64 // reused scratch for overflow-edge compaction
 	for len(stack) > 0 {
 		a := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		survivors++
 		a.old = true
 		bytes += actionBytes
-		if a.next != nil {
-			if keepAct(a.next) {
-				stack = append(stack, a.next)
-			} else {
-				a.next = nil
-			}
-		}
 		if a.nextCfg != nil && !refSeen[a.nextCfg] {
 			refSeen[a.nextCfg] = true
 			refs = append(refs, a.nextCfg)
 		}
-		if a.e1 != nil && !keepAct(a.e1) {
-			a.e1 = nil
-		}
-		if a.e2 != nil && !keepAct(a.e2) {
-			a.e2 = nil
-		}
-		if a.edges != nil {
-			//fastsim:order-independent: deletes dead entries; survivors are re-read in sorted label order below
-			for l, t := range a.edges {
-				if !keepAct(t) {
-					delete(a.edges, l)
-				}
-			}
-			// Compact surviving overflow edges into inline slots freed by
-			// the clip, smallest label first, so the overflow charge below
-			// reflects the surviving edge count rather than stale map
-			// membership.
-			if len(a.edges) > 0 && (a.e1 == nil || a.e2 == nil) {
-				labels = labels[:0]
-				//fastsim:order-independent: keys are sorted before use
-				for l := range a.edges {
-					labels = append(labels, l)
-				}
-				sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-				for _, l := range labels {
-					if a.e1 == nil {
-						a.l1, a.e1 = l, a.edges[l]
-						delete(a.edges, l)
-					} else if a.e2 == nil {
-						a.l2, a.e2 = l, a.edges[l]
-						delete(a.edges, l)
-					} else {
-						break
-					}
-				}
-			}
-			if len(a.edges) == 0 {
-				a.edges = nil
+		// Clip dead successors out of the list and walk the survivors.
+		for p := &a.next; *p != nil; {
+			if k := *p; keepAct(k) {
+				stack = append(stack, k)
+				p = &k.sib
 			} else {
-				labels = labels[:0]
-				//fastsim:order-independent: keys are sorted before use
-				for l := range a.edges {
-					labels = append(labels, l)
-				}
-				sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-				for i := len(labels) - 1; i >= 0; i-- {
-					stack = append(stack, a.edges[labels[i]])
-				}
-				bytes += len(a.edges) * edgeExtraBytes
+				*p = k.sib
 			}
 		}
-		if a.e2 != nil {
-			stack = append(stack, a.e2)
-		}
-		if a.e1 != nil {
-			stack = append(stack, a.e1)
-		}
+		bytes += a.extraEdgeBytes()
 	}
 
 	// Pass 2: rebuild the table. Dropped configurations still referenced by
@@ -504,7 +422,7 @@ func (c *Cache) collect(minorOnly bool) {
 		bytes += len(cf.key) + configOverhead
 	}
 	for _, cf := range refs {
-		if next.findString(cf.key, cf.hash) == nil {
+		if find(next, cf.key, cf.hash) == nil {
 			cf.first = nil
 			cf.old = true
 			next.insert(cf)
@@ -532,55 +450,3 @@ func (c *Cache) mark(cfg *config) { cfg.gen = c.gen }
 
 // markAct records a use of an action.
 func (c *Cache) markAct(a *action) { a.gen = c.gen }
-
-// dump renders the graph rooted at key for debugging. The traversal uses an
-// explicit stack so chains of arbitrary depth cannot overflow the goroutine
-// stack; frames replay the recursive order exactly (node line, then the
-// unlabelled successor subtree, then each labelled edge in ascending label
-// order), so the output bytes are unchanged.
-func (c *Cache) dump(key string) string {
-	cfg := c.tab.findString(key, hashString(key))
-	if cfg == nil {
-		return "<none>"
-	}
-	if cfg.first == nil {
-		return ""
-	}
-	var b strings.Builder
-	indent := func(depth int) {
-		for i := 0; i < depth; i++ {
-			b.WriteString("  ")
-		}
-	}
-	type frame struct {
-		act   *action
-		depth int
-		label int64
-		edge  bool // print "[label]->" at depth, then act at depth+1
-	}
-	stack := []frame{{act: cfg.first}}
-	var kids []frame
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		d := f.depth
-		if f.edge {
-			indent(d)
-			fmt.Fprintf(&b, "[%d]->\n", f.label)
-			d++
-		}
-		indent(d)
-		fmt.Fprintf(&b, "%s rel=%d cyc=%d\n", f.act.kind, f.act.rel, f.act.cycles)
-		kids = kids[:0]
-		if f.act.next != nil {
-			kids = append(kids, frame{act: f.act.next, depth: d + 1})
-		}
-		f.act.eachEdge(func(l int64, t *action) {
-			kids = append(kids, frame{act: t, depth: d, label: l, edge: true})
-		})
-		for i := len(kids) - 1; i >= 0; i-- {
-			stack = append(stack, kids[i])
-		}
-	}
-	return b.String()
-}

@@ -3,6 +3,7 @@ package memo
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"fastsim/internal/direct"
 	"fastsim/internal/uarch"
@@ -30,32 +31,42 @@ func TestEdgeInlineAndOverflow(t *testing.T) {
 		targets[i] = &action{kind: actAdvance}
 	}
 	extra := 0
-	for i, tgt := range targets {
-		extra += a.setEdge(int64(i*10), tgt)
+	// Insert out of label order: the list must come out sorted.
+	for _, i := range []int{3, 0, 5, 1, 4, 2} {
+		extra += a.setEdge(int64(i*10), targets[i])
 	}
-	// Two inline slots are free; four overflow edges are charged.
-	if extra != 4*edgeExtraBytes {
-		t.Errorf("charged %d, want %d", extra, 4*edgeExtraBytes)
+	// The first two successors are free; the four beyond are charged.
+	if extra != 4*edgeExtraBytes || a.extraEdgeBytes() != extra {
+		t.Errorf("charged %d (recount %d), want %d", extra, a.extraEdgeBytes(), 4*edgeExtraBytes)
 	}
 	for i, tgt := range targets {
 		if a.edge(int64(i*10)) != tgt {
 			t.Errorf("edge %d lost", i)
 		}
 	}
-	if a.edge(999) != nil {
+	if a.edge(999) != nil || a.edge(5) != nil || a.edge(-1) != nil {
 		t.Error("phantom edge")
 	}
-	// Overwriting an existing label must not double-charge.
-	if n := a.setEdge(0, targets[1]); n != 0 {
-		t.Errorf("overwrite charged %d", n)
+	i := 0
+	for k := a.next; k != nil; k = k.sib {
+		if k != targets[i] || k.label != int64(i*10) {
+			t.Errorf("successor %d out of label order", i)
+		}
+		i++
 	}
-	if a.edge(0) != targets[1] {
-		t.Error("overwrite lost")
+	if i != 6 {
+		t.Errorf("child loop visited %d, want 6", i)
 	}
-	count := 0
-	a.eachEdge(func(l int64, to *action) { count++ })
-	if count != 6 {
-		t.Errorf("eachEdge visited %d, want 6", count)
+}
+
+// TestActionLayout pins the node's Go size to the footprint the cache
+// charges for it.
+func TestActionLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(action{}); got != actionBytes {
+		t.Errorf("unsafe.Sizeof(action{}) = %d, want actionBytes = %d", got, actionBytes)
 	}
 }
 
@@ -278,17 +289,23 @@ func TestStatsHelpers(t *testing.T) {
 	}
 }
 
-func TestDumpSmoke(t *testing.T) {
+func TestExportGraphSmoke(t *testing.T) {
 	c := NewCache(DefaultOptions())
-	cfgA, _, _, _, _ := buildChain(c)
-	out := c.dump(cfgA.key)
-	for _, want := range []string{"advance", "outcome", "link"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("dump missing %q:\n%s", want, out)
-		}
+	buildChain(c)
+	g := c.ExportGraph()
+	var kinds []string
+	for i := range g.Actions {
+		kinds = append(kinds, g.Actions[i].KindString())
 	}
-	if c.dump("missing") != "<none>" {
-		t.Error("dump of missing key")
+	if got := strings.Join(kinds, " "); got != "advance outcome link" {
+		t.Errorf("exported kinds %q, want advance outcome link", got)
+	}
+	out := g.Actions[1]
+	if out.Next != -1 || len(out.Labels) != 1 || out.Labels[0] != labelKindBranch|1 || out.Targets[0] != 2 {
+		t.Errorf("outcome exported as %+v", out)
+	}
+	if g.Actions[0].Next != 1 || g.Actions[2].NextCfg != 1 {
+		t.Errorf("chain exported as %+v", g.Actions)
 	}
 }
 

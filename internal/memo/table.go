@@ -29,23 +29,14 @@ func newConfigTable(hint int) *configTable {
 	return &configTable{buckets: make([]*config, nb), mask: uint64(nb - 1)}
 }
 
-// FNV-1a. The multiply-xor loop over key bytes is the single hash the table
-// design promises; both hashKey and hashString must stay in sync.
+// FNV-1a over the key bytes: the single hash the table design promises,
+// for raw keys and interned ones alike.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-func hashKey(key []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return h
-}
-
-func hashString(key string) uint64 {
+func hashKey[K string | []byte](key K) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -56,19 +47,9 @@ func hashString(key string) uint64 {
 
 // find probes for key with its precomputed hash. The string(key) conversion
 // inside a == comparison is allocation-free.
-func (t *configTable) find(key []byte, h uint64) *config {
+func find[K string | []byte](t *configTable, key K, h uint64) *config {
 	for cf := t.buckets[h&t.mask]; cf != nil; cf = cf.hnext {
 		if cf.hash == h && cf.key == string(key) {
-			return cf
-		}
-	}
-	return nil
-}
-
-// findString is find for an already-interned key.
-func (t *configTable) findString(key string, h uint64) *config {
-	for cf := t.buckets[h&t.mask]; cf != nil; cf = cf.hnext {
-		if cf.hash == h && cf.key == key {
 			return cf
 		}
 	}
