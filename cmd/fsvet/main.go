@@ -14,7 +14,6 @@
 //	go run ./cmd/fsvet ./...
 //	go run ./cmd/fsvet ./internal/memo ./internal/obs
 //	go run ./cmd/fsvet -sarif findings.sarif ./...
-//	go run ./cmd/fsvet -write-baseline debt.json ./... && go run ./cmd/fsvet -baseline debt.json ./...
 //	go run ./cmd/fsvet -list
 //
 // fsvet prints findings as "file:line:col: analyzer: message" and exits 1
@@ -35,10 +34,8 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	sarifPath := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file (\"-\" for stdout)")
-	baselinePath := flag.String("baseline", "", "suppress findings recorded in this baseline file; report only new ones")
-	writeBaseline := flag.String("write-baseline", "", "record current findings to this baseline file and exit 0")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: fsvet [-list] [-sarif file] [-baseline file | -write-baseline file] [packages]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: fsvet [-list] [-sarif file] [packages]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Runs the determinism analyzers over FastSim's simulation-core packages.\nWith no package arguments, vets all of them (equivalent to ./...).\n\n")
 		flag.PrintDefaults()
 	}
@@ -50,10 +47,6 @@ func main() {
 		}
 		return
 	}
-	if *baselinePath != "" && *writeBaseline != "" {
-		fatal(fmt.Errorf("-baseline and -write-baseline are mutually exclusive"))
-	}
-
 	cwd, err := os.Getwd()
 	if err != nil {
 		fatal(err)
@@ -95,33 +88,6 @@ func main() {
 			}
 			diags = append(diags, d)
 		}
-	}
-
-	if *writeBaseline != "" {
-		f, err := os.Create(*writeBaseline)
-		if err != nil {
-			fatal(err)
-		}
-		if err := analysis.WriteBaseline(f, diags); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "fsvet: wrote baseline of %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return
-	}
-	if *baselinePath != "" {
-		f, err := os.Open(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		base, err := analysis.ReadBaseline(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		diags = base.Filter(diags)
 	}
 
 	if *sarifPath != "" {

@@ -344,8 +344,7 @@ func (p *Program) Chain(facts map[string]*propStep, key string) (chain, root str
 			pos := p.Fset.Position(step.pos)
 			fname := pos.Filename
 			// Render relative to the working directory when the file is
-			// under it, so chains are machine-independent in CI artifacts
-			// and baselines.
+			// under it, so chains are machine-independent in CI artifacts.
 			if p.cwd != "" {
 				if rel, err := filepath.Rel(p.cwd, fname); err == nil && !strings.HasPrefix(rel, "..") {
 					fname = rel

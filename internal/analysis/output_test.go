@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"go/token"
-	"strings"
 	"testing"
 )
 
@@ -69,49 +68,5 @@ func TestWriteSARIF(t *testing.T) {
 		first.Locations[0].PhysicalLocation.ArtifactLocation.URI != "internal/memo/engine.go" ||
 		first.Locations[0].PhysicalLocation.Region.StartLine != 10 {
 		t.Errorf("first result mismatch: %+v", first)
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	diags := sampleDiags()
-	var buf bytes.Buffer
-	if err := WriteBaseline(&buf, diags); err != nil {
-		t.Fatal(err)
-	}
-	base, err := ReadBaseline(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if left := base.Filter(diags); len(left) != 0 {
-		t.Errorf("baseline does not cover its own findings: %v", left)
-	}
-
-	// A new finding — and a second copy of a baselined one — both surface.
-	extra := append(diags, Diagnostic{
-		Pos: token.Position{Filename: "internal/memo/engine.go", Line: 99}, Analyzer: "taint",
-		Message: "call chain reaches time.Now: a → b", // same key: count exhausted
-	}, Diagnostic{
-		Pos: token.Position{Filename: "internal/core/run.go", Line: 7}, Analyzer: "taint",
-		Message: "call chain reaches rand.Int", // genuinely new
-	})
-	left := base.Filter(extra)
-	if len(left) != 2 {
-		t.Fatalf("Filter kept %d findings, want 2: %v", len(left), left)
-	}
-
-	// Line drift alone must not surface: keys exclude position lines.
-	drifted := make([]Diagnostic, len(diags))
-	copy(drifted, diags)
-	for i := range drifted {
-		drifted[i].Pos.Line += 40
-	}
-	if left := base.Filter(drifted); len(left) != 0 {
-		t.Errorf("pure line drift surfaced findings: %v", left)
-	}
-}
-
-func TestBaselineRejectsGarbage(t *testing.T) {
-	if _, err := ReadBaseline(strings.NewReader("not json")); err == nil {
-		t.Error("ReadBaseline accepted garbage")
 	}
 }

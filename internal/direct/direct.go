@@ -22,9 +22,11 @@
 //
 // The paper splices instrumentation into SPARC binaries with EEL and runs
 // them natively; a managed runtime cannot do that, so this package instead
-// pre-decodes the program into basic blocks executed without per-
-// instruction fetch/decode dispatch (see DESIGN.md's substitution table).
-// The algorithmic structure above is preserved verbatim.
+// compiles each basic block, at its first visit, into a slice of per-opcode
+// handlers with the instrumentation folded into the load and store handlers
+// (compile.go), and finds blocks in a table indexed by pc (see DESIGN.md's
+// substitution table). The algorithmic structure above is preserved
+// verbatim.
 package direct
 
 import (
@@ -117,7 +119,7 @@ type Engine struct {
 	bq    []checkpoint
 	stats Stats
 
-	blocks map[uint32]*block
+	blocks []*block // indexed by (pc - program.TextBase) / isa.WordSize
 }
 
 // MaxBlockInsts caps straight-line block length.
@@ -128,28 +130,6 @@ const MaxBlockInsts = 1024
 // indirect jump or halt is spinning in a branchless infinite loop.
 const maxRunInsts = 4 << 20
 
-type termKind uint8
-
-const (
-	termBranch termKind = iota
-	termJump            // j / jal: single target, executed inline
-	termIJump
-	termHalt
-	termCap // block hit MaxBlockInsts; continue with next block
-	termBad // runs off the end of text
-)
-
-type decoded struct {
-	inst isa.Inst
-	pc   uint32
-}
-
-type block struct {
-	body []decoded // straight-line, non-control instructions
-	term decoded
-	kind termKind
-}
-
 // New returns an engine ready to execute p from its entry point, sharing
 // the given branch predictor (which FastSim also exposes to the µ-arch).
 func New(p *program.Program, pred bpred.Predictor) *Engine {
@@ -158,49 +138,23 @@ func New(p *program.Program, pred bpred.Predictor) *Engine {
 		St:     emulator.NewState(p),
 		Pred:   pred,
 		PC:     p.Entry,
-		blocks: make(map[uint32]*block),
+		blocks: make([]*block, len(p.Text)),
 	}
 }
 
+// blockAt returns the block starting at pc, compiling it at its first
+// visit, or nil if pc is outside the text or unaligned (wrong paths only);
+// such a pc has no table slot.
 func (e *Engine) blockAt(pc uint32) *block {
-	if b, ok := e.blocks[pc]; ok {
-		return b
+	k := (pc - program.TextBase) / isa.WordSize
+	if pc%isa.WordSize != 0 || k >= uint32(len(e.blocks)) {
+		return nil
 	}
-	b := &block{}
-	cur := pc
-	for n := 0; ; n++ {
-		inst, ok := e.Prog.InstAt(cur)
-		if !ok {
-			b.kind = termBad
-			b.term = decoded{pc: cur}
-			break
-		}
-		d := decoded{inst: inst, pc: cur}
-		cls := inst.Class()
-		if cls.IsControl() || cls == isa.ClassHalt ||
-			(cls == isa.ClassSys && inst.Imm == isa.SysExit) {
-			b.term = d
-			switch cls {
-			case isa.ClassBranch:
-				b.kind = termBranch
-			case isa.ClassJump:
-				b.kind = termJump
-			case isa.ClassJumpInd:
-				b.kind = termIJump
-			default:
-				b.kind = termHalt
-			}
-			break
-		}
-		b.body = append(b.body, d)
-		cur += isa.WordSize
-		if n+1 >= MaxBlockInsts {
-			b.kind = termCap
-			b.term = decoded{pc: cur}
-			break
-		}
+	b := e.blocks[k]
+	if b == nil {
+		b = e.compile(pc)
+		e.blocks[k] = b
 	}
-	e.blocks[pc] = b
 	return b
 }
 
@@ -235,60 +189,47 @@ func (e *Engine) RunToNextControlPoint() (int, error) {
 	executed := 0
 	for {
 		b := e.blockAt(e.PC)
-		for _, d := range b.body {
-			e.execBody(d)
+		if b == nil {
+			if e.Speculating() {
+				// Wrong paths may run anywhere; park until rollback.
+				return e.appendRec(ControlRec{PC: e.PC, Kind: KindStall,
+					LQLen: e.NumLoads(), SQLen: e.NumStores()}), nil
+			}
+			return 0, fmt.Errorf("direct: invalid pc %#x on the committed path", e.PC)
 		}
-		executed += len(b.body) + 1
-		e.stats.Insts += uint64(len(b.body))
+		for k := range b.body {
+			o := &b.body[k]
+			o.fn(e, st, &o.inst)
+		}
+		n := uint64(len(b.body))
+		if b.kind != termCap {
+			n++
+		}
+		executed += int(n)
+		e.stats.Insts += n
 		if e.Speculating() {
-			e.stats.WrongPathInsts += uint64(len(b.body))
+			e.stats.WrongPathInsts += n
 		}
 
 		switch b.kind {
 		case termCap:
 			// No terminator instruction; continue with the next block.
-			e.PC = b.term.pc
-			continue
-		case termBad:
-			if e.Speculating() {
-				// Wrong paths may run anywhere; park until rollback.
-				return e.appendRec(ControlRec{PC: b.term.pc, Kind: KindStall,
-					LQLen: e.NumLoads(), SQLen: e.NumStores()}), nil
-			}
-			return 0, fmt.Errorf("direct: invalid pc %#x on the committed path", b.term.pc)
+			e.PC = b.pc
 		case termJump:
-			e.stats.Insts++
-			if e.Speculating() {
-				e.stats.WrongPathInsts++
-			}
-			e.PC = emulator.StepInst(st, b.term.inst, b.term.pc)
+			e.PC = b.next(st, b.term, b.pc)
 			if executed > maxRunInsts {
 				return 0, fmt.Errorf("direct: no control point within %d instructions (branchless loop at %#x?)", maxRunInsts, e.PC)
 			}
-			continue
 		case termBranch:
-			e.stats.Insts++
-			if e.Speculating() {
-				e.stats.WrongPathInsts++
-			}
-			return e.execBranch(b.term), nil
+			return e.execBranch(b), nil
 		case termIJump:
-			e.stats.Insts++
-			if e.Speculating() {
-				e.stats.WrongPathInsts++
-			}
-			next := emulator.StepInst(st, b.term.inst, b.term.pc)
-			e.PC = next
-			return e.appendRec(ControlRec{PC: b.term.pc, Kind: KindIJump,
-				Taken: true, Target: next, LQLen: e.NumLoads(), SQLen: e.NumStores()}), nil
+			e.PC = b.next(st, b.term, b.pc)
+			return e.appendRec(ControlRec{PC: b.pc, Kind: KindIJump,
+				Taken: true, Target: e.PC, LQLen: e.NumLoads(), SQLen: e.NumStores()}), nil
 		case termHalt:
-			e.stats.Insts++
-			if e.Speculating() {
-				e.stats.WrongPathInsts++
-			}
-			emulator.StepInst(st, b.term.inst, b.term.pc)
-			idx := e.appendRec(ControlRec{PC: b.term.pc, Kind: KindHalt,
-				Target: b.term.pc, LQLen: e.NumLoads(), SQLen: e.NumStores()})
+			b.next(st, b.term, b.pc)
+			idx := e.appendRec(ControlRec{PC: b.pc, Kind: KindHalt,
+				Target: b.pc, LQLen: e.NumLoads(), SQLen: e.NumStores()})
 			if !e.Speculating() {
 				e.Halted = true
 			}
@@ -297,35 +238,19 @@ func (e *Engine) RunToNextControlPoint() (int, error) {
 	}
 }
 
-// execBody executes one straight-line instruction, maintaining the lQ/sQ
-// instrumentation of Figure 3.
-func (e *Engine) execBody(d decoded) {
-	st := e.St
-	switch d.inst.Class() {
-	case isa.ClassLoad:
-		addr := st.R[d.inst.Rs1] + uint32(d.inst.Imm)
-		e.lq = append(e.lq, LoadRec{Addr: addr, Width: uint8(d.inst.MemWidth())})
-	case isa.ClassStore:
-		addr := st.R[d.inst.Rs1] + uint32(d.inst.Imm)
-		w := d.inst.MemWidth()
-		e.sq = append(e.sq, StoreRec{Addr: addr, Old: st.Mem.ReadN(addr, w), Width: uint8(w)})
-	}
-	emulator.StepInst(st, d.inst, d.pc)
-}
-
 // execBranch handles a conditional branch terminator: evaluate the real
 // condition, train the predictor, follow the *predicted* direction, and
 // checkpoint into the bQ if mispredicted.
-func (e *Engine) execBranch(d decoded) int {
+func (e *Engine) execBranch(b *block) int {
 	st := e.St
 	// Evaluate the real condition without committing a direction yet.
-	fallthrough_ := d.pc + isa.WordSize
-	actualNext := emulator.StepInst(st, d.inst, d.pc) // branches write no registers
+	fallthrough_ := b.pc + isa.WordSize
+	actualNext := b.next(st, b.term, b.pc) // branches write no registers
 	taken := actualNext != fallthrough_
-	predicted := e.Pred.Update(d.pc, taken)
+	predicted := e.Pred.Update(b.pc, taken)
 	mis := predicted != taken
 
-	rec := ControlRec{PC: d.pc, Kind: KindBranch, Taken: taken,
+	rec := ControlRec{PC: b.pc, Kind: KindBranch, Taken: taken,
 		Mispredicted: mis, Target: actualNext, LQLen: e.NumLoads(), SQLen: e.NumStores()}
 	idx := e.appendRec(rec)
 
@@ -349,7 +274,7 @@ func (e *Engine) execBranch(d decoded) int {
 			e.stats.BQHighWater = len(e.bq)
 		}
 		if predicted {
-			e.PC = d.inst.BranchTarget(d.pc)
+			e.PC = b.term.BranchTarget(b.pc)
 		} else {
 			e.PC = fallthrough_
 		}
@@ -431,8 +356,27 @@ func (e *Engine) Rec(i int) ControlRec { return e.recs[i-e.recBase] }
 // indices below the given absolute positions may become invalid. Trimming
 // never crosses a live checkpoint, so rollback always remains possible. A
 // queue is copied down only once its consumed prefix is at least half its
-// length, so trimming at every retirement costs amortized O(1) per entry.
+// length and at least minTrim entries, so trimming at every retirement
+// costs amortized O(1) per entry, and most calls only compare.
 func (e *Engine) Trim(rec, lq, sq int) {
+	if worthTrimming(rec-e.recBase, len(e.recs)) || worthTrimming(lq-e.lqBase, len(e.lq)) ||
+		worthTrimming(sq-e.sqBase, len(e.sq)) {
+		e.trim(rec, lq, sq)
+	}
+}
+
+// worthTrimming reports whether dropping a consumed prefix of n entries
+// from a queue of length l pays for the copy: the prefix must be at least
+// half the queue and at least minTrim entries, so a short queue is not
+// copied down at nearly every retirement.
+func worthTrimming(n, l int) bool { return n >= minTrim && 2*n >= l }
+
+// minTrim is the shortest consumed prefix Trim drops.
+const minTrim = 16
+
+// trim is Trim's slow path: heads are first clamped to the live
+// checkpoints.
+func (e *Engine) trim(rec, lq, sq int) {
 	for i := range e.bq {
 		cp := &e.bq[i]
 		if cp.recIdx+1 < rec {
@@ -445,17 +389,17 @@ func (e *Engine) Trim(rec, lq, sq int) {
 			sq = cp.sqLen
 		}
 	}
-	e.recs, e.recBase = trimQueue(e.recs, e.recBase, rec)
-	e.lq, e.lqBase = trimQueue(e.lq, e.lqBase, lq)
-	e.sq, e.sqBase = trimQueue(e.sq, e.sqBase, sq)
+	trimQueue(&e.recs, &e.recBase, rec)
+	trimQueue(&e.lq, &e.lqBase, lq)
+	trimQueue(&e.sq, &e.sqBase, sq)
 }
 
-// trimQueue drops the entries of q (whose first entry has absolute index
-// base) below absolute index head, once they are at least half of q. It
-// returns the queue and its new base.
-func trimQueue[T any](q []T, base, head int) ([]T, int) {
-	if n := head - base; n > 0 && 2*n >= len(q) {
-		return append(q[:0], q[n:]...), head
+// trimQueue drops the entries of *q (whose first entry has absolute index
+// *base) below absolute index head when that is worth it. A queue it
+// leaves alone is not written.
+func trimQueue[T any](q *[]T, base *int, head int) {
+	if n := head - *base; worthTrimming(n, len(*q)) {
+		*q = append((*q)[:0], (*q)[n:]...)
+		*base = head
 	}
-	return q, base
 }

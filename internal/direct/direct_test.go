@@ -446,3 +446,75 @@ func TestLongStraightLineBlocks(t *testing.T) {
 		t.Errorf("insts = %d, want %d", eng.Stats().Insts, n+3)
 	}
 }
+
+func TestWrongPathRunsOffTextEnd(t *testing.T) {
+	p := build(t, `
+main:
+	j    start
+target:
+	halt
+start:
+	li   t0, 1
+	bnez t0, target     # mispredicted: the wrong path falls through
+	addi t1, t1, 1
+	addi t1, t1, 2      # last text word
+`)
+	eng := New(p, bpred.New(512))
+	i1, err := eng.RunToNextControlPoint()
+	if err != nil || !eng.Rec(i1).Mispredicted {
+		t.Fatalf("rec1 = %+v, %v", eng.Rec(i1), err)
+	}
+	i2, err := eng.RunToNextControlPoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := eng.Rec(i2); r.Kind != KindStall || r.PC != p.TextEnd() {
+		t.Fatalf("rec2 = %+v, want a stall at the text end %#x", r, p.TextEnd())
+	}
+	if got := eng.Stats().WrongPathInsts; got != 2 {
+		t.Errorf("wrong-path insts = %d, want 2", got)
+	}
+	if err := eng.Rollback(i1); err != nil {
+		t.Fatal(err)
+	}
+	drive(t, eng, 1)
+}
+
+func TestBlockTable(t *testing.T) {
+	p := build(t, `
+main:
+	li   t0, 20
+loop:
+	addi t0, t0, -1
+	sw   t0, 0(sp)
+	bnez t0, loop
+	halt
+`)
+	eng := New(p, bpred.New(512))
+	if len(eng.blocks) != len(p.Text) {
+		t.Fatalf("table has %d slots for %d text words", len(eng.blocks), len(p.Text))
+	}
+	drive(t, eng, 1)
+	compiled := 0
+	for _, b := range eng.blocks {
+		if b != nil {
+			compiled++
+			if cap(b.body) != len(b.body) {
+				t.Errorf("block at %#x: body cap %d, len %d", b.pc, cap(b.body), len(b.body))
+			}
+		}
+	}
+	if compiled != 3 { // from main, from loop, and the halt
+		t.Errorf("%d blocks compiled, want 3", compiled)
+	}
+	// A pc outside the text or unaligned has no slot, and visiting it
+	// allocates nothing.
+	for _, pc := range []uint32{0, 0x10, program.TextBase - 4, program.TextBase + 2, p.TextEnd(), 0xFFFFFFFC} {
+		if eng.blockAt(pc) != nil {
+			t.Errorf("pc %#x has a block", pc)
+		}
+		if n := testing.AllocsPerRun(10, func() { eng.blockAt(pc) }); n != 0 {
+			t.Errorf("visiting pc %#x allocates %v times", pc, n)
+		}
+	}
+}

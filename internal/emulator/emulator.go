@@ -2,10 +2,13 @@
 // programs. It serves three roles in the reproduction:
 //
 //   - It is the semantic reference: StepInst defines the meaning of every
-//     instruction, and all other engines (the speculative direct-execution
-//     engine and the SimpleScalar-surrogate reference simulator) call the
-//     same function, so functional divergence between engines is impossible
-//     by construction.
+//     instruction. The SimpleScalar-surrogate reference simulator calls it
+//     for every instruction. The speculative direct-execution engine does
+//     not: it compiles each basic block into per-opcode handlers, and only
+//     rare opcodes, non-exit system calls, halt and exit run through
+//     StepInst. Those handlers are checked against StepInst on every
+//     opcode (internal/direct's TestHandlersMatchStepInst) and under
+//     fuzzing (FuzzDirectOps).
 //   - Its wall-clock speed stands in for "native execution of the original,
 //     uninstrumented executable" in the paper's Table 2/3 slowdown columns,
 //     since nothing in this environment runs SV8 natively.
