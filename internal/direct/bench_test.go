@@ -13,13 +13,14 @@ import (
 // BenchmarkDirect measures direct execution alone, per executed
 // instruction: the engine runs each program to halt at scale 1, every
 // mispredict is rolled back as soon as it is recorded and the queues are
-// trimmed as a retiring driver would. The four replay-warm programs and
-// 130.li are the workloads. The final registers and checksum must equal
+// trimmed as a retiring driver would. The workloads are the four
+// replay-warm programs, 130.li, and 104.hydro2d and 146.wave5, whose hot
+// loops run the FP min/max/abs and cvtfi handlers. The final registers and checksum must equal
 // the plain interpreter's.
 //
 //	go test -run '^$' -bench BenchmarkDirect -benchtime 3x ./internal/direct
 func BenchmarkDirect(b *testing.B) {
-	for _, name := range []string{"099.go", "107.mgrid", "126.gcc", "132.ijpeg", "130.li"} {
+	for _, name := range []string{"099.go", "107.mgrid", "126.gcc", "132.ijpeg", "130.li", "104.hydro2d", "146.wave5"} {
 		b.Run(name, func(b *testing.B) {
 			w, ok := workloads.Get(name)
 			if !ok {

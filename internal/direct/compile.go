@@ -143,9 +143,10 @@ func (e *Engine) store(a uint32, old uint64, w uint8) {
 	e.sq = append(e.sq, StoreRec{Addr: a, Old: old, Width: w})
 }
 
-// handlers holds the compiled form of the opcodes that make up nearly all
-// instructions the workloads execute, and of every load and store, since
-// those record; the rest run through interpret. Each must match
+// handlers holds the compiled form of every opcode the 18 workloads
+// execute (their measured dynamic mix at scale 1) except non-exit sys
+// calls, and of every load and store, since those record; the opcodes no
+// workload executes run through interpret. Each must match
 // emulator.StepInst exactly (TestHandlersMatchStepInst, FuzzDirectOps);
 // the r0 case is excluded by compileOp.
 var handlers = [isa.NumOpcodes]handler{
@@ -213,7 +214,25 @@ var handlers = [isa.NumOpcodes]handler{
 	isa.OpFsub:  func(_ *Engine, st *emulator.State, i *isa.Inst) { st.F[i.Rd] = st.F[i.Rs1] - st.F[i.Rs2] },
 	isa.OpFmul:  func(_ *Engine, st *emulator.State, i *isa.Inst) { st.F[i.Rd] = st.F[i.Rs1] * st.F[i.Rs2] },
 	isa.OpFdiv:  func(_ *Engine, st *emulator.State, i *isa.Inst) { st.F[i.Rd] = st.F[i.Rs1] / st.F[i.Rs2] },
+	isa.OpFmin:  func(_ *Engine, st *emulator.State, i *isa.Inst) { st.F[i.Rd] = math.Min(st.F[i.Rs1], st.F[i.Rs2]) },
+	isa.OpFmax:  func(_ *Engine, st *emulator.State, i *isa.Inst) { st.F[i.Rd] = math.Max(st.F[i.Rs1], st.F[i.Rs2]) },
+	isa.OpFabs:  func(_ *Engine, st *emulator.State, i *isa.Inst) { st.F[i.Rd] = math.Abs(st.F[i.Rs1]) },
 	isa.OpCvtif: func(_ *Engine, st *emulator.State, i *isa.Inst) { st.F[i.Rd] = float64(int32(st.R[i.Rs1])) },
+	isa.OpCvtfi: func(_ *Engine, st *emulator.State, i *isa.Inst) { st.R[i.Rd] = truncToI32(st.F[i.Rs1]) },
+}
+
+// truncToI32 is cvtfi's conversion: truncate toward zero, saturating at
+// the int32 limits, with NaN converting to 0.
+func truncToI32(f float64) uint32 {
+	switch {
+	case math.IsNaN(f):
+		return 0
+	case f >= math.MaxInt32:
+		return math.MaxInt32
+	case f <= math.MinInt32:
+		return 0x80000000
+	}
+	return uint32(int32(f))
 }
 
 // terms holds the evaluators of the branch and jump terminators. Each must

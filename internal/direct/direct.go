@@ -356,27 +356,8 @@ func (e *Engine) Rec(i int) ControlRec { return e.recs[i-e.recBase] }
 // indices below the given absolute positions may become invalid. Trimming
 // never crosses a live checkpoint, so rollback always remains possible. A
 // queue is copied down only once its consumed prefix is at least half its
-// length and at least minTrim entries, so trimming at every retirement
-// costs amortized O(1) per entry, and most calls only compare.
+// length, so trimming at every retirement costs amortized O(1) per entry.
 func (e *Engine) Trim(rec, lq, sq int) {
-	if worthTrimming(rec-e.recBase, len(e.recs)) || worthTrimming(lq-e.lqBase, len(e.lq)) ||
-		worthTrimming(sq-e.sqBase, len(e.sq)) {
-		e.trim(rec, lq, sq)
-	}
-}
-
-// worthTrimming reports whether dropping a consumed prefix of n entries
-// from a queue of length l pays for the copy: the prefix must be at least
-// half the queue and at least minTrim entries, so a short queue is not
-// copied down at nearly every retirement.
-func worthTrimming(n, l int) bool { return n >= minTrim && 2*n >= l }
-
-// minTrim is the shortest consumed prefix Trim drops.
-const minTrim = 16
-
-// trim is Trim's slow path: heads are first clamped to the live
-// checkpoints.
-func (e *Engine) trim(rec, lq, sq int) {
 	for i := range e.bq {
 		cp := &e.bq[i]
 		if cp.recIdx+1 < rec {
@@ -395,10 +376,10 @@ func (e *Engine) trim(rec, lq, sq int) {
 }
 
 // trimQueue drops the entries of *q (whose first entry has absolute index
-// *base) below absolute index head when that is worth it. A queue it
-// leaves alone is not written.
+// *base) below absolute index head, once they are at least half of *q. A
+// queue it leaves alone is not written.
 func trimQueue[T any](q *[]T, base *int, head int) {
-	if n := head - *base; worthTrimming(n, len(*q)) {
+	if n := head - *base; n > 0 && 2*n >= len(*q) {
 		*q = append((*q)[:0], (*q)[n:]...)
 		*base = head
 	}

@@ -193,6 +193,12 @@ func edgeCases() []opCase {
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 3e9, -3e9, math.MaxInt32 + 0.5, math.MinInt32 - 0.5} {
 		add(isa.OpCvtfi, 3, 1, 0, 0, func(c *opCase) { c.f[1] = f })
 	}
+	negZero := math.Copysign(0, -1)
+	for _, f := range [][2]float64{{math.NaN(), 1}, {1, math.NaN()}, {0, negZero}, {negZero, 0}, {math.Inf(-1), math.Inf(1)}} {
+		for _, op := range []isa.Opcode{isa.OpFmin, isa.OpFmax, isa.OpFabs} {
+			add(op, 3, 1, 2, 0, func(c *opCase) { c.f[1], c.f[2] = f[0], f[1] })
+		}
+	}
 	return cs
 }
 
@@ -310,14 +316,36 @@ func hotCases(tb testing.TB, names []string, perWorkload int) []opCase {
 	return cs
 }
 
+// TestHandlersCoverWorkloadMix checks that every opcode the workloads
+// execute has a handler or terminator evaluator of its own, except sys
+// and halt: only those may fall back to emulator.StepInst.
+func TestHandlersCoverWorkloadMix(t *testing.T) {
+	for _, w := range workloads.All() {
+		p := w.MustBuild(0.05)
+		cpu := emulator.New(p)
+		seen := make(map[isa.Opcode]bool)
+		for !cpu.Exited {
+			seen[p.MustInstAt(cpu.PC).Op] = true
+			if err := cpu.Step(); err != nil {
+				t.Fatalf("%s: %v", w.Name, err)
+			}
+		}
+		for op := isa.Opcode(1); int(op) < isa.NumOpcodes; op++ {
+			if seen[op] && op != isa.OpSys && op != isa.OpHalt && handlers[op] == nil && terms[op] == nil {
+				t.Errorf("%s executes %v, which has no handler", w.Name, op)
+			}
+		}
+	}
+}
+
 // FuzzDirectOps checks a compiled instruction against emulator.StepInst on
 // a state the fuzz bytes choose (see caseFromBytes). It is seeded with the
-// hot instructions of the four replay-warm programs and 130.li, and with
-// the edge cases.
+// hot instructions of the four replay-warm programs, 130.li, 104.hydro2d
+// and 146.wave5, and with the edge cases.
 //
 //	go test -run '^$' -fuzz '^FuzzDirectOps$' -fuzztime 30s ./internal/direct
 func FuzzDirectOps(f *testing.F) {
-	hot := hotCases(f, []string{"099.go", "107.mgrid", "126.gcc", "132.ijpeg", "130.li"}, 32)
+	hot := hotCases(f, []string{"099.go", "107.mgrid", "126.gcc", "132.ijpeg", "130.li", "104.hydro2d", "146.wave5"}, 32)
 	for _, c := range append(hot, edgeCases()...) {
 		f.Add(caseBytes(c))
 	}

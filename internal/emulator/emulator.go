@@ -5,8 +5,8 @@
 //     instruction. The SimpleScalar-surrogate reference simulator calls it
 //     for every instruction. The speculative direct-execution engine does
 //     not: it compiles each basic block into per-opcode handlers, and only
-//     rare opcodes, non-exit system calls, halt and exit run through
-//     StepInst. Those handlers are checked against StepInst on every
+//     the opcodes no workload executes, non-exit system calls, halt and
+//     exit run through StepInst. Those handlers are checked against StepInst on every
 //     opcode (internal/direct's TestHandlersMatchStepInst) and under
 //     fuzzing (FuzzDirectOps).
 //   - Its wall-clock speed stands in for "native execution of the original,
