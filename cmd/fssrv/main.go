@@ -2,9 +2,11 @@
 // JSON HTTP API that accepts (program, machine configuration, options)
 // jobs, runs them on a bounded worker pool with admission control and
 // per-job deadlines, shares recorded p-action chains between tenants
-// through the sharded shared cache, and — with -journal — survives
-// crashes by recovering every accepted job from an fsynced append-only
-// journal. See docs/SERVER.md for the API and job lifecycle.
+// through the shared cache, and — with -journal — survives crashes by
+// recovering every accepted job from an fsynced append-only journal. A job
+// runs once: a failed run ends on its typed error code, and resubmission
+// belongs with the client. See docs/SERVER.md for the API and job
+// lifecycle.
 //
 // Usage:
 //
@@ -33,15 +35,13 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		workers    = flag.Int("workers", 0, "simulation worker pool size (0 = server default)")
-		queue      = flag.Int("queue", 0, "admission queue depth (0 = server default)")
-		journal    = flag.String("journal", "", "crash-safe job journal path (empty = in-memory only)")
-		memBudget  = flag.Int64("mem-budget", 0, "aggregate p-action cache byte budget across admitted jobs (0 = unlimited)")
-		maxRetries = flag.Int("max-retries", 2, "transient-fault re-runs per job")
-		timeout    = flag.Duration("job-timeout", 5*time.Minute, "default per-job deadline")
-		drain      = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound before running jobs are cancelled")
-		shards     = flag.Int("shards", 0, "shared p-action cache shards (0 = default, -1 = disable sharing)")
+		addr      = flag.String("addr", ":8080", "listen address")
+		workers   = flag.Int("workers", 0, "simulation worker pool size (0 = server default)")
+		queue     = flag.Int("queue", 0, "admission queue depth (0 = server default)")
+		journal   = flag.String("journal", "", "crash-safe job journal path (empty = in-memory only)")
+		memBudget = flag.Int64("mem-budget", 0, "aggregate p-action cache byte budget across admitted jobs (0 = unlimited)")
+		timeout   = flag.Duration("job-timeout", 5*time.Minute, "default per-job deadline")
+		drain     = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound before running jobs are cancelled")
 	)
 	flag.Parse()
 
@@ -50,10 +50,8 @@ func main() {
 		QueueDepth:     *queue,
 		JournalPath:    *journal,
 		MemBudget:      *memBudget,
-		MaxRetries:     *maxRetries,
 		DefaultTimeout: *timeout,
 		DrainTimeout:   *drain,
-		SharedShards:   *shards,
 	})
 	if err != nil {
 		fatal(err)

@@ -134,7 +134,7 @@ func ExampleWithSharedCache() {
 		log.Fatal(err)
 	}
 
-	shared := fastsim.NewSharedCache(4)
+	shared := fastsim.NewSharedCache()
 	first, err := fastsim.Run(prog, fastsim.WithSharedCache(shared))
 	if err != nil {
 		log.Fatal(err)

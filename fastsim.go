@@ -110,7 +110,7 @@ type BPredConfig = core.BPredConfig
 // when a present snapshot was rejected and the run started cold.
 type SnapshotStatus = core.SnapshotStatus
 
-// SharedCache is a process-wide, sharded exchange point for recorded
+// SharedCache is a process-wide exchange point for recorded
 // p-action graphs, keyed by run fingerprint: concurrent runs of the same
 // (program, machine) warm each other under epoch-based publication, with
 // quarantine events propagating as epoch poisons. Attach one with
@@ -119,7 +119,7 @@ type SnapshotStatus = core.SnapshotStatus
 // docs/SERVER.md.
 type SharedCache = memo.SharedCache
 
-// SharedCacheStats aggregates a SharedCache's activity across its shards.
+// SharedCacheStats summarizes a SharedCache's activity.
 type SharedCacheStats = memo.SharedStats
 
 // SharedStatus reports one run's shared-cache activity (Result.Shared):
@@ -127,9 +127,8 @@ type SharedCacheStats = memo.SharedStats
 // poisoned its base.
 type SharedStatus = core.SharedStatus
 
-// NewSharedCache builds a SharedCache with at least the given number of
-// shards (rounded up to a power of two; <= 0 selects a default of 8).
-func NewSharedCache(shards int) *SharedCache { return memo.NewShared(shards) }
+// NewSharedCache builds an empty SharedCache.
+func NewSharedCache() *SharedCache { return memo.NewShared() }
 
 // FaultInjector is a deterministic, seed-addressed fault injector for chaos
 // testing; arm one with WithFaultInjection. See internal/faultinject and
@@ -146,10 +145,9 @@ type EngineFault = memo.EngineFault
 // ErrEngineFault is the sentinel every EngineFault matches via errors.Is.
 var ErrEngineFault = memo.ErrEngineFault
 
-// NewChaosInjector returns the chaos preset: every fault site armed at
-// deterministic, seed-addressed rates — occasional transient snapshot IO
-// failures, one possible truncation, a handful of chain bit flips, and a
-// rare allocation failure. Equal seeds reproduce the exact same fault
+// NewChaosInjector returns the chaos preset: the run's fault sites armed
+// at deterministic, seed-addressed rates — one possible snapshot
+// truncation, a handful of chain bit flips, and a rare allocation failure. Equal seeds reproduce the exact same fault
 // sequence. Pair it with WithShadowVerify(1) so no corrupted chain can slip
 // into the statistics unverified.
 func NewChaosInjector(seed uint64) *FaultInjector { return faultinject.Chaos(seed) }

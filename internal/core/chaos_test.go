@@ -126,30 +126,37 @@ func TestChaosTruncatedSnapshotHeals(t *testing.T) {
 	}
 }
 
-// One transient read fault is absorbed by the retry policy: the warm start
-// succeeds as if nothing happened.
-func TestChaosTransientIORetryHeals(t *testing.T) {
+// One injected read fault costs the warm start and nothing else: a
+// non-strict run falls back cold with a warning and a Result equal to the
+// cold baseline; a strict run returns the fault, typed as injected.
+func TestChaosReadFaultFallsBack(t *testing.T) {
 	p := obsWorkloads(t)["099.go"]
 	path, cold := writeSnapshot(t, "099.go", memo.DefaultOptions())
 
 	cfg := DefaultConfig()
 	cfg.SnapshotLoad = path
-	cfg.SnapshotStrict = true // retries must make even strict mode succeed
 	cfg.FaultInject = faultinject.New(2, faultinject.Fault{Site: faultinject.SiteSnapshotRead, Nth: 1})
 	res, err := Run(p, cfg)
 	if err != nil {
-		t.Fatalf("one transient fault must be retried away, got: %v", err)
+		t.Fatalf("one read fault must fall back cold, got: %v", err)
 	}
-	if !res.Snapshot.Loaded {
-		t.Fatalf("warm start did not happen: %+v", res.Snapshot)
+	if res.Snapshot.Loaded || res.Snapshot.Warning == "" {
+		t.Errorf("expected cold fallback with warning, got %+v", res.Snapshot)
 	}
 	if !reflect.DeepEqual(cold, normalize(res)) {
-		t.Errorf("warm Result differs from cold baseline")
+		t.Errorf("fallback Result differs from cold baseline")
+	}
+
+	strict := cfg
+	strict.SnapshotStrict = true
+	strict.FaultInject = faultinject.New(2, faultinject.Fault{Site: faultinject.SiteSnapshotRead, Nth: 1})
+	if _, err := Run(p, strict); !errors.Is(err, faultinject.ErrInjected) {
+		t.Errorf("strict load error = %v, want ErrInjected", err)
 	}
 }
 
-// Persistent transient faults exhaust the retries; non-strict runs heal
-// with a cold fallback and a bit-identical Result.
+// A read fault on every occurrence: non-strict runs heal with a cold
+// fallback and a bit-identical Result.
 func TestChaosPersistentIOFallsBack(t *testing.T) {
 	p := obsWorkloads(t)["099.go"]
 	path, cold := writeSnapshot(t, "099.go", memo.DefaultOptions())
@@ -338,8 +345,7 @@ func TestChaosPresetNeverSilentlyWrong(t *testing.T) {
 				cfg.FaultInject = faultinject.Chaos(seed)
 				res, err := Run(p, cfg)
 				if err != nil {
-					if !errors.Is(err, memo.ErrEngineFault) && !errors.Is(err, faultinject.ErrInjected) &&
-						!snapshot.IsTransient(err) {
+					if !errors.Is(err, memo.ErrEngineFault) && !errors.Is(err, faultinject.ErrInjected) {
 						t.Fatalf("untyped chaos error: %v", err)
 					}
 					return // typed error: acceptable outcome

@@ -74,8 +74,8 @@ type Config struct {
 
 	// FaultInject, when non-nil, arms deterministic fault injection at
 	// every site the run passes through: memo allocation failures (the
-	// engine's Cache.Inject), chain bit flips and snapshot IO faults (transient
-	// read/write errors, post-read truncation). It exists for the chaos
+	// engine's Cache.Inject), chain bit flips and snapshot IO faults (read
+	// and write errors, post-read truncation). It exists for the chaos
 	// modes and the fault-tolerance tests; see docs/ROBUSTNESS.md. Every
 	// injected fault must end in a self-healed bit-identical Result or a
 	// typed error — never a silently wrong statistic.

@@ -29,7 +29,7 @@ func TestSharedCacheWarmBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			sc := memo.NewShared(4)
+			sc := memo.NewShared()
 			cfg := DefaultConfig()
 			cfg.Shared = sc
 			first, err := Run(p, cfg)
@@ -90,7 +90,7 @@ func TestSharedCacheQuarantinePoisons(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sc := memo.NewShared(1)
+	sc := memo.NewShared()
 	cfg := DefaultConfig()
 	cfg.Shared = sc
 	if _, err := Run(p, cfg); err != nil {
@@ -155,7 +155,7 @@ func TestSharedCacheQuarantinePoisons(t *testing.T) {
 func TestSharedCacheSnapshotPrecedence(t *testing.T) {
 	p := obsWorkloads(t)["129.compress"]
 	dir := t.TempDir()
-	sc := memo.NewShared(1)
+	sc := memo.NewShared()
 	cfg := DefaultConfig()
 	cfg.Shared = sc
 	cfg.SnapshotSave = dir + "/a.fsnap"

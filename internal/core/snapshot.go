@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io/fs"
 	"time"
 
@@ -27,6 +28,10 @@ type SnapshotStatus struct {
 	Warning       string // non-empty when a present snapshot was rejected (cold fallback)
 }
 
+// Fingerprint is the exported form of fingerprint, used by the simulation
+// server to report which shared-cache entry a job keys into.
+func Fingerprint(prog *program.Program, cfg *Config) uint64 { return fingerprint(prog, cfg) }
+
 // fingerprint hashes everything that determines the p-action cache's
 // contents: the program's entry point, text and data, the pipeline
 // parameters, the cache hierarchy, and the branch predictor. Two runs with
@@ -37,24 +42,14 @@ type SnapshotStatus struct {
 //
 // Memoization options (policy, limit) are deliberately excluded: they
 // bound the cache's size, not its meaning, so a snapshot saved under one
-// policy warm-starts a run under another.
-// Fingerprint is the exported form of fingerprint, used by the simulation
-// server to report which shared-cache entry a job keys into.
-func Fingerprint(prog *program.Program, cfg *Config) uint64 { return fingerprint(prog, cfg) }
-
+// policy warm-starts a run under another. The hash is FNV-1a 64 over the
+// little-endian words and data bytes, in the order below.
 func fingerprint(prog *program.Program, cfg *Config) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := fnv.New64a()
 	var buf [8]byte
 	word := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
-		for _, b := range buf {
-			h ^= uint64(b)
-			h *= prime64
-		}
+		h.Write(buf[:]) //nolint:errcheck // fnv.Write never fails
 	}
 
 	word(uint64(prog.Entry))
@@ -63,10 +58,7 @@ func fingerprint(prog *program.Program, cfg *Config) uint64 {
 		word(uint64(w))
 	}
 	word(uint64(len(prog.Data)))
-	for _, b := range prog.Data {
-		h ^= uint64(b)
-		h *= prime64
-	}
+	h.Write(prog.Data) //nolint:errcheck // fnv.Write never fails
 
 	u := cfg.Uarch
 	for _, v := range []int{
@@ -89,7 +81,7 @@ func fingerprint(prog *program.Program, cfg *Config) uint64 {
 	word(uint64(b.Kind))
 	word(uint64(b.Entries))
 	word(uint64(b.HistoryBits))
-	return h
+	return h.Sum64()
 }
 
 // loadSnapshot warm-starts eng's cache from cfg.SnapshotLoad. Every
@@ -101,7 +93,7 @@ func loadSnapshot(eng *memo.Engine, prog *program.Program, cfg *Config, st *Snap
 	o := cfg.Observer
 	o.SnapshotBegin("load", 0)
 	begin := time.Now() //fastsim:allow-wallclock: feeds the snapshot.load_ms gauge only, which the sampler's fixed column set never reads — it stays out of every deterministic stream
-	opts := snapshot.FileOptions{Retry: snapshot.DefaultRetry(), Inject: cfg.FaultInject}
+	opts := snapshot.FileOptions{Inject: cfg.FaultInject}
 	img, err := snapshot.LoadFile(cfg.SnapshotLoad, fingerprint(prog, cfg), opts)
 	if err == nil {
 		// Chaos chain corruption happens between decode and import, past
@@ -155,7 +147,7 @@ func saveSnapshot(eng *memo.Engine, prog *program.Program, cfg *Config, cycles u
 		Fingerprint: fingerprint(prog, cfg),
 		Graph:       *eng.Cache.ExportGraph(),
 	}
-	opts := snapshot.FileOptions{Retry: snapshot.DefaultRetry(), Inject: cfg.FaultInject}
+	opts := snapshot.FileOptions{Inject: cfg.FaultInject}
 	n, err := snapshot.SaveFile(cfg.SnapshotSave, img, opts)
 	if err != nil {
 		o.SnapshotEnd(cycles, "", 0, 0, 0, "")

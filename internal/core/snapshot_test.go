@@ -232,6 +232,22 @@ func TestSnapshotFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestFingerprintPinned pins the run fingerprint of the suite workloads:
+// snapshot files and shared-cache entries are keyed by it, so a change to
+// the hash would orphan every saved snapshot.
+func TestFingerprintPinned(t *testing.T) {
+	cfg := DefaultConfig()
+	for name, want := range map[string]uint64{
+		"099.go":       0x47369cc058f8beb,
+		"129.compress": 0xe579c58d85b3f1df,
+		"107.mgrid":    0x8f52954de4cd07a1,
+	} {
+		if got := Fingerprint(obsWorkloads(t)[name], &cfg); got != want {
+			t.Errorf("%s fingerprint %#x, want %#x", name, got, want)
+		}
+	}
+}
+
 // TestSnapshotMissingFileIsSilentColdStart pins the first-run experience:
 // no file, no warning, no error.
 func TestSnapshotMissingFileIsSilentColdStart(t *testing.T) {

@@ -19,7 +19,7 @@ package faultinject
 import (
 	"errors"
 	"fmt"
-	"syscall"
+	"hash/fnv"
 )
 
 // Site names one fault point. Sites are compiled into the code they arm;
@@ -34,20 +34,22 @@ const (
 	// SiteChainFlip flips one bit in an imported p-action's payload,
 	// modelling in-memory corruption that bypasses the snapshot checksums.
 	SiteChainFlip Site = "memo.chain_flip"
-	// SiteSnapshotRead injects a transient (EINTR-class) error into a
-	// snapshot read attempt; bounded retry should absorb it.
+	// SiteSnapshotRead fails one snapshot read with an injected IO error;
+	// the run falls back to a cold start with a warning (or, under strict
+	// loading, returns the typed error).
 	SiteSnapshotRead Site = "snapshot.read"
-	// SiteSnapshotWrite injects a transient error into a snapshot write
-	// attempt.
+	// SiteSnapshotWrite fails one snapshot write with an injected IO
+	// error before any byte reaches disk; the save returns it and the
+	// previous file stays intact.
 	SiteSnapshotWrite Site = "snapshot.write"
 	// SiteSnapshotTrunc truncates the snapshot bytes after a successful
 	// read, so decoding fails with ErrCorrupt (a non-transient, typed
 	// rejection).
 	SiteSnapshotTrunc Site = "snapshot.truncate"
-	// SiteJournalWrite injects a transient (EINTR-class) error into one
-	// append to the simulation server's job journal; the journal's bounded
-	// deterministic-backoff retry should absorb it, and an exhausted retry
-	// surfaces as a typed journal error — never a silently dropped record.
+	// SiteJournalWrite fails one append to the simulation server's job
+	// journal with an injected IO error; the append surfaces it as a typed
+	// error (a shed accept_fault submit for an accept record) — never a
+	// silently dropped record.
 	SiteJournalWrite Site = "server.journal.write"
 	// SiteServerAccept fails one job admission at the simulation server's
 	// accept point with a transient typed rejection (HTTP 503 +
@@ -95,19 +97,18 @@ func (f Failure) Error() string {
 // Is makes errors.Is(f, ErrInjected) true.
 func (f Failure) Is(target error) bool { return target == ErrInjected }
 
-// transientError is what Transient returns: it unwraps to both ErrInjected
-// and syscall.EINTR, so the snapshot layer's EINTR/EAGAIN classification
-// retries it exactly like a real interrupted syscall.
+// transientError is what Transient returns: an IO error for one
+// occurrence of a site, matching ErrInjected and nothing else.
 type transientError struct {
 	site Site
 	n    uint64
 }
 
 func (e *transientError) Error() string {
-	return fmt.Sprintf("faultinject: transient %s error (occurrence %d): %v", e.site, e.n, syscall.EINTR)
+	return fmt.Sprintf("faultinject: injected %s IO error (occurrence %d)", e.site, e.n)
 }
 
-func (e *transientError) Unwrap() []error { return []error{ErrInjected, syscall.EINTR} }
+func (e *transientError) Unwrap() error { return ErrInjected }
 
 // rule is one armed site's state.
 type rule struct {
@@ -135,16 +136,14 @@ func New(seed uint64, faults ...Fault) *Injector {
 }
 
 // Chaos returns the opt-in chaos-mode preset used by `fastsim -chaos` and
-// by fssrv jobs with a chaos_seed: transient IO errors that bounded retry
-// should absorb, an occasional truncation (typed cold-start fallback),
-// sparse chain bit flips (quarantined under shadow verification), and one
-// rare allocation failure (typed ErrEngineFault). Every outcome is either
-// self-healed or a typed error — which is exactly what core's
-// TestChaosPresetNeverSilentlyWrong asserts.
+// by fssrv jobs with a chaos_seed: an occasional truncation (typed
+// cold-start fallback), sparse chain bit flips (quarantined under shadow
+// verification), and one rare allocation failure (typed ErrEngineFault).
+// Every outcome is either self-healed or a typed error — which is exactly
+// what core's TestChaosPresetNeverSilentlyWrong asserts. The snapshot
+// read and write sites stay armable through explicit Fault lists.
 func Chaos(seed uint64) *Injector {
 	return New(seed,
-		Fault{Site: SiteSnapshotRead, Rate: 1, Times: 2},
-		Fault{Site: SiteSnapshotWrite, Rate: 1, Times: 2},
 		Fault{Site: SiteSnapshotTrunc, Rate: 0.5, Times: 1},
 		Fault{Site: SiteChainFlip, Rate: 1.0 / 512, Times: 8},
 		Fault{Site: SiteMemoAlloc, Rate: 1.0 / (1 << 20), Times: 1},
@@ -160,17 +159,11 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// siteHash is FNV-1a 64 of the site name.
 func siteHash(s Site) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
+	h := fnv.New64a()
+	h.Write([]byte(s)) //nolint:errcheck // fnv.Write never fails
+	return h.Sum64()
 }
 
 // FireValue consumes one occurrence of site and reports whether it fires,
@@ -209,7 +202,8 @@ func (in *Injector) Fire(site Site) bool {
 }
 
 // Transient consumes one occurrence of site and, when it fires, returns an
-// EINTR-class error (see transientError); nil otherwise.
+// injected IO error matching ErrInjected (see transientError); nil
+// otherwise.
 func (in *Injector) Transient(site Site) error {
 	if in == nil {
 		return nil

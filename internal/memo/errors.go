@@ -22,8 +22,8 @@ type EngineFault struct {
 	Cause       string // the recovered panic message
 	// CauseErr is the recovered panic value when it was an error (an
 	// injected faultinject.Failure, a runtime.Error); the fault unwraps to
-	// it, so errors.Is can still tell an injected fault — transient by
-	// construction, the server retries it — from an organic one.
+	// it, so errors.Is can still tell an injected fault from an organic
+	// one.
 	CauseErr error
 }
 

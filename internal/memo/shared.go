@@ -2,7 +2,7 @@ package memo
 
 import "sync"
 
-// SharedCache is a process-wide, sharded exchange point for recorded
+// SharedCache is a process-wide exchange point for recorded
 // p-action graphs, keyed by the run fingerprint (program + µ-architecture +
 // cache + predictor — see core's fingerprint). It is the multi-tenant
 // counterpart of the snapshot file: concurrent runs of the same fingerprint
@@ -38,16 +38,10 @@ import "sync"
 // could have imported it. Later tenants re-record and re-publish clean
 // chains.
 //
-// All methods are safe for concurrent use; a nil *SharedCache is inert.
+// A run takes the lock once to Acquire and once to Publish or Poison, so
+// one mutex over one map serves every tenant. All methods are safe for
+// concurrent use; a nil *SharedCache is inert.
 type SharedCache struct {
-	shards []sharedShard
-	mask   uint64
-}
-
-// sharedShard is one lock domain of the fingerprint space. Shards are
-// selected by fingerprint hash, so tenants of different programs contend on
-// different locks.
-type sharedShard struct {
 	mu      sync.Mutex
 	entries map[uint64]*sharedEntry // fastsim:guarded-by(mu)
 
@@ -65,32 +59,9 @@ type sharedEntry struct {
 	graph   *Graph // immutable once stored; nil before first publish / after poison
 }
 
-// DefaultSharedShards is the shard count NewShared uses for hint <= 0.
-const DefaultSharedShards = 8
-
-// NewShared builds a SharedCache with at least hint shards (rounded up to a
-// power of two; hint <= 0 selects DefaultSharedShards).
-func NewShared(hint int) *SharedCache {
-	n := DefaultSharedShards
-	if hint > 0 {
-		n = 1
-		for n < hint {
-			n <<= 1
-		}
-	}
-	sc := &SharedCache{shards: make([]sharedShard, n), mask: uint64(n - 1)}
-	for i := range sc.shards {
-		//fastsim:allow-unguarded: construction — sc is unpublished, no goroutine can reach it yet
-		sc.shards[i].entries = make(map[uint64]*sharedEntry)
-	}
-	return sc
-}
-
-// shard maps a fingerprint to its lock domain. The fingerprint is already a
-// 64-bit FNV over the full machine description, so its low bits index
-// directly.
-func (sc *SharedCache) shard(fp uint64) *sharedShard {
-	return &sc.shards[fp&sc.mask]
+// NewShared builds an empty SharedCache.
+func NewShared() *SharedCache {
+	return &SharedCache{entries: make(map[uint64]*sharedEntry)}
 }
 
 // Acquire returns the published graph for fp (nil if none) and the entry's
@@ -101,18 +72,17 @@ func (sc *SharedCache) Acquire(fp uint64) (*Graph, uint64) {
 	if sc == nil {
 		return nil, 0
 	}
-	s := sc.shard(fp)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.acquires++
-	e := s.entries[fp]
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	sc.acquires++
+	e := sc.entries[fp]
 	if e == nil || e.graph == nil {
 		if e == nil {
 			return nil, 0
 		}
 		return nil, e.epoch
 	}
-	s.warm++
+	sc.warm++
 	return e.graph, e.epoch
 }
 
@@ -126,29 +96,28 @@ func (sc *SharedCache) Publish(fp uint64, g *Graph, base uint64) (uint64, bool) 
 	if sc == nil || g == nil {
 		return 0, false
 	}
-	s := sc.shard(fp)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.entries[fp]
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	e := sc.entries[fp]
 	if e == nil {
 		e = &sharedEntry{}
-		s.entries[fp] = e
+		sc.entries[fp] = e
 	}
 	switch {
 	case base < e.barrier:
 		// The entry was poisoned after this run acquired: its chains may
 		// descend from the quarantined graph. Never re-admit them.
-		s.rejects++
+		sc.rejects++
 		return e.epoch, false
 	case base < e.epoch && e.graph != nil && len(g.Actions) <= len(e.graph.Actions):
 		// A neighbour published a graph at least as complete while this run
 		// simulated; keep the richer one.
-		s.rejects++
+		sc.rejects++
 		return e.epoch, false
 	}
 	e.epoch++
 	e.graph = g
-	s.publishes++
+	sc.publishes++
 	return e.epoch, true
 }
 
@@ -162,16 +131,15 @@ func (sc *SharedCache) Poison(fp uint64, base uint64) bool {
 	if sc == nil {
 		return false
 	}
-	s := sc.shard(fp)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.entries[fp]
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	e := sc.entries[fp]
 	if e == nil {
 		// The poisoning run imported nothing; there is nothing to drop, but
 		// fence cold republication of its own chains anyway by creating the
 		// entry with a raised barrier.
 		e = &sharedEntry{}
-		s.entries[fp] = e
+		sc.entries[fp] = e
 	}
 	if base < e.barrier {
 		return false // already poisoned past this lineage
@@ -180,13 +148,12 @@ func (sc *SharedCache) Poison(fp uint64, base uint64) bool {
 	e.graph = nil
 	e.epoch++
 	e.barrier = e.epoch
-	s.poisons++
+	sc.poisons++
 	return dropped
 }
 
-// SharedStats aggregates a SharedCache's activity across all shards.
+// SharedStats summarizes a SharedCache's activity.
 type SharedStats struct {
-	Shards    int    `json:"shards"`    // lock domains
 	Entries   int    `json:"entries"`   // fingerprints with any state (published or fenced)
 	Published int    `json:"published"` // fingerprints currently holding a published graph
 	Actions   int    `json:"actions"`   // total actions across published graphs
@@ -197,28 +164,26 @@ type SharedStats struct {
 	Poisons   uint64 `json:"poisons"`   // quarantine propagations
 }
 
-// Stats returns a point-in-time aggregate. Nil-safe.
+// Stats returns a point-in-time summary. Nil-safe.
 func (sc *SharedCache) Stats() SharedStats {
 	if sc == nil {
 		return SharedStats{}
 	}
-	st := SharedStats{Shards: len(sc.shards)}
-	for i := range sc.shards {
-		s := &sc.shards[i]
-		s.mu.Lock()
-		st.Entries += len(s.entries)
-		for _, e := range s.entries { //fastsim:order-independent: integer sums over entries are commutative
-			if e.graph != nil {
-				st.Published++
-				st.Actions += len(e.graph.Actions)
-			}
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	st := SharedStats{
+		Entries:   len(sc.entries),
+		Acquires:  sc.acquires,
+		Warm:      sc.warm,
+		Publishes: sc.publishes,
+		Rejects:   sc.rejects,
+		Poisons:   sc.poisons,
+	}
+	for _, e := range sc.entries { //fastsim:order-independent: integer sums over entries are commutative
+		if e.graph != nil {
+			st.Published++
+			st.Actions += len(e.graph.Actions)
 		}
-		st.Acquires += s.acquires
-		st.Warm += s.warm
-		st.Publishes += s.publishes
-		st.Rejects += s.rejects
-		st.Poisons += s.poisons
-		s.mu.Unlock()
 	}
 	return st
 }

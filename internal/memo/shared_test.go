@@ -24,7 +24,7 @@ func graphN(n int) *Graph {
 }
 
 func TestSharedPublishAcquire(t *testing.T) {
-	sc := NewShared(4)
+	sc := NewShared()
 	const fp = 0xfeed
 
 	// Empty entry: cold acquire.
@@ -64,7 +64,7 @@ func TestSharedPublishAcquire(t *testing.T) {
 }
 
 func TestSharedPoisonFence(t *testing.T) {
-	sc := NewShared(1)
+	sc := NewShared()
 	const fp = 0xbad
 
 	ep1, _ := sc.Publish(fp, graphN(5), 0)
@@ -104,7 +104,7 @@ func TestSharedPoisonFence(t *testing.T) {
 // Poisoning a fingerprint that never published fences cold republication of
 // the poisoning run's own chains.
 func TestSharedPoisonColdEntry(t *testing.T) {
-	sc := NewShared(2)
+	sc := NewShared()
 	if sc.Poison(7, 0) {
 		t.Error("poison of an absent entry reported a drop")
 	}
@@ -134,7 +134,7 @@ func TestSharedNilSafe(t *testing.T) {
 // must never race or deadlock, and the final state must be coherent (every
 // published graph reachable, counters add up).
 func TestSharedConcurrent(t *testing.T) {
-	sc := NewShared(4)
+	sc := NewShared()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -169,7 +169,7 @@ func TestSharedConcurrent(t *testing.T) {
 // the snapshot layer relies on — so a tenant can import what another
 // exported.
 func TestSharedGraphImportable(t *testing.T) {
-	sc := NewShared(1)
+	sc := NewShared()
 	if _, ok := sc.Publish(1, graphN(4), 0); !ok {
 		t.Fatal("publish failed")
 	}

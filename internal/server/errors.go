@@ -4,15 +4,15 @@
 // same invariant the rest of the tree enforces for a single run, lifted to
 // a shared process: every job ends bit-identical or typed — admission
 // overload, injected faults, client disconnects, worker panics and whole-
-// process crashes all resolve to a recovered result, a bounded retry, or a
-// typed error code, never a silently lost or silently wrong job.
+// process crashes all resolve to a recovered result or a typed error code,
+// never a silently lost or silently wrong job. A job runs once; a failed
+// run ends on its code, and resubmission belongs with the client.
 //
 // The pieces:
 //
 //   - admission control with typed load shedding (Submit),
 //   - a crash-safe append-only job journal with restart recovery (journal.go),
 //   - per-job deadlines and cancellation wired to core.RunContext (job.go),
-//   - bounded deterministic-backoff retry for transient faults (server.go),
 //   - a process-wide shared p-action cache with epoch publication and
 //     poisoning (memo.SharedCache), so tenants warm-start each other
 //     without ever sharing a quarantined chain.
@@ -27,9 +27,7 @@ import (
 	"net/http"
 
 	"fastsim/internal/core"
-	"fastsim/internal/faultinject"
 	"fastsim/internal/memo"
-	"fastsim/internal/snapshot"
 )
 
 // Code is a stable machine-readable job/request error code. Every code maps
@@ -61,13 +59,9 @@ const (
 	// CodeDraining rejects new jobs while the server is shutting down.
 	CodeDraining Code = "draining"
 	// CodeAcceptFault reports an injected or IO failure while durably
-	// accepting the job (the server.accept site or an exhausted journal
-	// write retry); the job was NOT accepted and may be resubmitted.
+	// accepting the job (the server.accept site or a failed journal
+	// write); the job was NOT accepted and may be resubmitted.
 	CodeAcceptFault Code = "accept_fault"
-	// CodeSnapshotCorrupt maps snapshot.ErrCorrupt under strict loading.
-	CodeSnapshotCorrupt Code = "snapshot_corrupt"
-	// CodeSnapshotVersion maps snapshot.ErrVersion under strict loading.
-	CodeSnapshotVersion Code = "snapshot_version"
 	// CodeEngineFault maps memo.ErrEngineFault: the memoization layer hit
 	// an unrecoverable internal fault and refused to emit statistics.
 	CodeEngineFault Code = "engine_fault"
@@ -96,8 +90,6 @@ func (c Code) HTTPStatus() int {
 		return http.StatusTooManyRequests
 	case CodeDraining, CodeAcceptFault:
 		return http.StatusServiceUnavailable
-	case CodeSnapshotCorrupt, CodeSnapshotVersion:
-		return http.StatusUnprocessableEntity
 	case CodeEngineFault, CodeInternal:
 		return http.StatusInternalServerError
 	case CodeCancelled:
@@ -154,10 +146,6 @@ func Classify(err error) Code {
 		return se.Code
 	case errors.Is(err, core.ErrBadConfig):
 		return CodeBadConfig
-	case errors.Is(err, snapshot.ErrCorrupt):
-		return CodeSnapshotCorrupt
-	case errors.Is(err, snapshot.ErrVersion):
-		return CodeSnapshotVersion
 	case errors.Is(err, memo.ErrEngineFault):
 		return CodeEngineFault
 	case errors.Is(err, context.DeadlineExceeded):
@@ -166,16 +154,4 @@ func Classify(err error) Code {
 		return CodeCancelled
 	}
 	return CodeInternal
-}
-
-// retryableRun reports whether a failed run should be retried by the
-// server's bounded-backoff loop: transient interruption-class IO faults
-// (snapshot.IsTransient) and injected engine faults — which are transient
-// by construction, the chaos injector consumes their occurrence budget —
-// qualify; organic engine faults, bad configs and cancellations do not.
-func retryableRun(err error) bool {
-	if snapshot.IsTransient(err) {
-		return true
-	}
-	return errors.Is(err, faultinject.ErrInjected) && errors.Is(err, memo.ErrEngineFault)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -63,16 +64,14 @@ func TestJournalOversizedLineTornTail(t *testing.T) {
 }
 
 // TestJournalSyncFailureNoDuplicate: a fully-written line whose fsync
-// fails must be rolled back before the retry re-writes it, or the journal
-// ends with two sealed copies of the same Seq — breaking the
-// strictly-increasing-Seq invariant recovery's torn-tail reasoning
+// fails must be rolled back, or the record the caller was told had failed
+// stays on disk and its resubmission leaves two sealed copies — breaking
+// the strictly-increasing-Seq invariant recovery's torn-tail reasoning
 // relies on.
 func TestJournalSyncFailureNoDuplicate(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "journal.jsonl")
-	policy := fastRetry()
-	policy.Attempts = 3
-	jnl, err := openJournal(path, 0, policy, nil, nil)
+	jnl, err := openJournal(path, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +79,15 @@ func TestJournalSyncFailureNoDuplicate(t *testing.T) {
 	jnl.fsync = func(f *os.File) error {
 		if fails > 0 {
 			fails--
-			return syscall.EINTR // transient, so the policy retries
+			return syscall.EIO
 		}
 		return f.Sync()
 	}
-	if err := jnl.append(journalRec{Rec: recAccept, Job: "j000001", JobSeq: 1}); err != nil {
+	rec := journalRec{Rec: recAccept, Job: "j000001", JobSeq: 1}
+	if err := jnl.append(rec); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("append over a failing fsync = %v, want EIO", err)
+	}
+	if err := jnl.append(rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := jnl.close(); err != nil {

@@ -64,8 +64,6 @@ func TestHTTPStatusMappingExhaustive(t *testing.T) {
 		CodeMemoryBudget:    429,
 		CodeDraining:        503,
 		CodeAcceptFault:     503,
-		CodeSnapshotCorrupt: 422,
-		CodeSnapshotVersion: 422,
 		CodeEngineFault:     500,
 		CodeInternal:        500,
 		CodeCancelled:       499,
@@ -122,7 +120,7 @@ func TestErrorMappingHTTP(t *testing.T) {
 // surface as the job view with the code's status — engine faults 500,
 // deadlines 504 — and successful runs 200 with a digest.
 func TestRunSyncFailureStatuses(t *testing.T) {
-	_, ts := httpServer(t, Options{MaxRetries: 1})
+	_, ts := httpServer(t, Options{})
 
 	resp, data := doJSON(t, "POST", ts.URL+"/v1/run", `{"workload":"129.compress","scale":0.2}`)
 	if resp.StatusCode != 200 {

@@ -58,7 +58,7 @@ func TestConcurrentTenantsBitIdentical(t *testing.T) {
 		baseline[sp] = resultDigest(res)
 	}
 
-	shared := memo.NewShared(8)
+	shared := memo.NewShared()
 	s := newTestServer(t, Options{
 		Workers: 8,
 		Shared:  shared,

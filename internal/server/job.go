@@ -35,8 +35,8 @@ type JobSpec struct {
 	// Memoize defaults to true (FastSim); false runs the SlowSim baseline.
 	Memoize *bool `json:"memoize,omitempty"`
 	// Policy is the p-action cache replacement policy by name ("unbounded",
-	// "flush", "fifo", "gc", "gengc" — see memo.ParsePolicy); Limit is its
-	// byte limit.
+	// "flush", "gc", "gengc" — see memo.ParsePolicy); Limit is its byte
+	// limit.
 	Policy string `json:"policy,omitempty"`
 	Limit  int    `json:"limit,omitempty"`
 	// VerifyRate enables shadow verification of cache hits in [0, 1].
@@ -171,10 +171,10 @@ func (s *JobSpec) buildInjector() (*faultinject.Injector, error) {
 // State is a job's lifecycle position. The machine is strictly forward:
 //
 //	queued → running → done
-//	               ↘  failed      (typed code, after any retries)
+//	               ↘  failed      (typed code)
 //	queued/running → cancelled    (client cancel, disconnect, or deadline)
 //
-// A retry moves running → running (attempt+1); it never re-queues.
+// A job runs once; a failed run is final.
 type State string
 
 const (
@@ -208,8 +208,6 @@ type Job struct {
 	// fastsim:guarded-by(mu)
 	state State
 	// fastsim:guarded-by(mu)
-	attempt int
-	// fastsim:guarded-by(mu)
 	code Code
 	// fastsim:guarded-by(mu)
 	msg string
@@ -228,7 +226,6 @@ func (j *Job) snapshotView() JobView {
 	v := JobView{
 		ID:        j.ID,
 		State:     j.state,
-		Attempt:   j.attempt,
 		Code:      j.code,
 		Msg:       j.msg,
 		Digest:    j.digest,
@@ -274,7 +271,6 @@ func (j *Job) Wait(ctx context.Context) (JobView, error) {
 type JobView struct {
 	ID        string      `json:"id"`
 	State     State       `json:"state"`
-	Attempt   int         `json:"attempt,omitempty"`
 	Code      Code        `json:"code,omitempty"`
 	Msg       string      `json:"message,omitempty"`
 	Digest    string      `json:"digest,omitempty"`

@@ -19,8 +19,7 @@ import (
 // transition of every accepted job:
 //
 //	accept  — the job is durably admitted (spec included)
-//	start   — a worker began attempt N
-//	retry   — attempt N failed transiently; attempt N+1 follows
+//	start   — a worker began the run
 //	done    — the job completed (result digest included)
 //	fail    — the job failed with a typed code
 //	cancel  — the job was cancelled (client, disconnect, or deadline)
@@ -32,16 +31,19 @@ import (
 // accepted-but-unfinished job is re-queued. The same temp+fsync+rename
 // discipline as internal/snapshot (snapshot.WriteAtomic) rewrites the
 // journal at recovery, compacting finished jobs away.
+//
+// Journals written by older builds may also hold "retry" records and an
+// "attempt" member; they verify (verifyLine checks the written bytes) and
+// recovery ignores them.
 type journalRec struct {
-	Seq     uint64   `json:"seq"`
-	Rec     string   `json:"rec"`
-	Job     string   `json:"job"`
-	JobSeq  uint64   `json:"job_seq,omitempty"`
-	Attempt int      `json:"attempt,omitempty"`
-	Spec    *JobSpec `json:"spec,omitempty"`
-	Code    Code     `json:"code,omitempty"`
-	Msg     string   `json:"msg,omitempty"`
-	Digest  string   `json:"digest,omitempty"`
+	Seq    uint64   `json:"seq"`
+	Rec    string   `json:"rec"`
+	Job    string   `json:"job"`
+	JobSeq uint64   `json:"job_seq,omitempty"`
+	Spec   *JobSpec `json:"spec,omitempty"`
+	Code   Code     `json:"code,omitempty"`
+	Msg    string   `json:"msg,omitempty"`
+	Digest string   `json:"digest,omitempty"`
 	// The line's last member, "sum", is the FNV-64a hex checksum of the
 	// encoding before it; seal writes it and verifyLine checks it.
 }
@@ -49,7 +51,6 @@ type journalRec struct {
 const (
 	recAccept = "accept"
 	recStart  = "start"
-	recRetry  = "retry"
 	recDone   = "done"
 	recFail   = "fail"
 	recCancel = "cancel"
@@ -96,8 +97,7 @@ func verifyLine(line []byte) bool {
 // journal is the crash-safe job log. A nil *journal (journaling disabled)
 // accepts every call as a no-op.
 type journal struct {
-	path  string
-	retry snapshot.RetryPolicy
+	path string
 
 	// fsync flushes the file; tests substitute it to model fsync failures
 	// (nearly impossible to provoke on a real filesystem).
@@ -175,19 +175,19 @@ func readJournal(path string) (recs []journalRec, dropped int, err error) {
 // openJournal opens (creating if needed) the append handle at path and
 // returns the journal primed to continue after the given last sequence
 // number.
-func openJournal(path string, lastSeq uint64, retry snapshot.RetryPolicy, inject *faultinject.Injector, injMu *sync.Mutex) (*journal, error) {
+func openJournal(path string, lastSeq uint64, inject *faultinject.Injector, injMu *sync.Mutex) (*journal, error) {
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &journal{path: path, retry: retry, fsync: (*os.File).Sync, inject: inject, injMu: injMu, f: f, seq: lastSeq}, nil
+	return &journal{path: path, fsync: (*os.File).Sync, inject: inject, injMu: injMu, f: f, seq: lastSeq}, nil
 }
 
-// append seals and durably writes one record: write + fsync under the
-// bounded deterministic-backoff retry policy, with the server.journal.write
-// fault site armed inside the attempt. A failed attempt truncates back to
-// the pre-write offset before retrying, so a partial line is never
-// followed by its own retry (which the torn-tail rule would then discard).
+// append seals and durably writes one record: write + fsync, with the
+// server.journal.write fault site armed before the write. A failed write
+// or fsync truncates back to the pre-write offset, so the next append
+// never follows a torn line (which the torn-tail rule would discard along
+// with everything after it) or a record the caller was told had failed.
 func (j *journal) append(r journalRec) error {
 	if j == nil {
 		return nil
@@ -200,39 +200,32 @@ func (j *journal) append(r journalRec) error {
 	if err != nil {
 		return err
 	}
-	err = j.retry.Do(func() error {
-		if j.inject != nil {
-			j.injMu.Lock()
-			ferr := j.inject.Transient(faultinject.SiteJournalWrite)
-			j.injMu.Unlock()
-			if ferr != nil {
-				return ferr
-			}
+	if j.inject != nil {
+		j.injMu.Lock()
+		ferr := j.inject.Transient(faultinject.SiteJournalWrite)
+		j.injMu.Unlock()
+		if ferr != nil {
+			return fmt.Errorf("journal append: %w", ferr)
 		}
-		off, serr := j.f.Seek(0, io.SeekEnd)
-		if serr != nil {
-			return serr
-		}
-		if _, werr := j.f.Write(line); werr != nil {
-			j.f.Truncate(off) //nolint:errcheck // best-effort rollback; a torn line is tolerated on read
-			return werr
-		}
-		if serr := j.fsync(j.f); serr != nil {
-			// Roll back on fsync failure too: the line hit the page cache
-			// in full, so letting the retry re-write it would duplicate a
-			// sealed record and break the strictly-increasing-Seq invariant
-			// the torn-tail reasoning relies on. Post-failure page-cache
-			// state is unreliable, so the handle is reopened for the retry.
-			j.f.Truncate(off) //nolint:errcheck // best-effort rollback; a torn line is tolerated on read
-			if nf, oerr := os.OpenFile(j.path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644); oerr == nil {
-				j.f.Close() //nolint:errcheck // superseded handle
-				j.f = nf
-			}
-			return serr
-		}
-		return nil
-	})
+	}
+	off, err := j.f.Seek(0, io.SeekEnd)
 	if err != nil {
+		return fmt.Errorf("journal append: %w", err)
+	}
+	if _, err := j.f.Write(line); err != nil {
+		j.f.Truncate(off) //nolint:errcheck // best-effort rollback; a torn line is tolerated on read
+		return fmt.Errorf("journal append: %w", err)
+	}
+	if err := j.fsync(j.f); err != nil {
+		// The line hit the page cache in full, so without the rollback the
+		// next append would follow a sealed record the caller was told had
+		// failed. Post-failure page-cache state is unreliable, so the
+		// handle is reopened for the next append.
+		j.f.Truncate(off) //nolint:errcheck // best-effort rollback; a torn line is tolerated on read
+		if nf, oerr := os.OpenFile(j.path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644); oerr == nil {
+			j.f.Close() //nolint:errcheck // superseded handle
+			j.f = nf
+		}
 		return fmt.Errorf("journal append: %w", err)
 	}
 	j.appends++

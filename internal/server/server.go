@@ -4,14 +4,12 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"syscall"
 	"time"
 
 	"fastsim/internal/core"
 	"fastsim/internal/faultinject"
 	"fastsim/internal/memo"
 	"fastsim/internal/program"
-	"fastsim/internal/snapshot"
 	"fastsim/internal/workloads"
 )
 
@@ -36,20 +34,6 @@ type Options struct {
 	// per-job hard budget is still spec.MemoBudget.
 	DefaultJobBudget int64
 
-	// MaxRetries bounds re-runs of a job after transient faults (default
-	// 2, so at most 3 attempts). Retries back off deterministically under
-	// Retry's policy, seeded per job.
-	MaxRetries int
-	// Retry is the backoff policy for job retries and journal writes; its
-	// Attempts field is ignored (MaxRetries governs jobs; journal writes
-	// use Attempts = MaxRetries+1). The zero value selects
-	// snapshot.DefaultRetry's delays.
-	Retry snapshot.RetryPolicy
-	// RetrySeed feeds the deterministic backoff jitter; per-job schedules
-	// derive from it and the job sequence number, so equal seeds replay
-	// equal schedules.
-	RetrySeed uint64
-
 	// JournalPath, when non-empty, enables the crash-safe job journal: a
 	// JSONL file fsynced on every lifecycle transition. On New, existing
 	// journal state is recovered — finished jobs reappear with their
@@ -58,10 +42,9 @@ type Options struct {
 	JournalPath string
 
 	// Shared is the process-wide shared p-action cache tenants warm each
-	// other through; nil builds one with SharedShards shards. Set
-	// SharedShards < 0 to disable sharing entirely.
-	Shared       *memo.SharedCache
-	SharedShards int
+	// other through; nil builds a fresh one. A job opts out with
+	// JobSpec.Shared = false.
+	Shared *memo.SharedCache
 
 	// Inject, when non-nil, arms the server-side fault sites
 	// (server.accept, server.journal.write) for chaos testing. Job-level
@@ -86,6 +69,9 @@ type Stats struct {
 	Completed uint64 `json:"completed"`
 	Failed    uint64 `json:"failed"`
 	Cancelled uint64 `json:"cancelled"`
+	// Retries always reads 0: a job runs once, and a failed run ends on
+	// its typed code. The field stays because the perfbench service
+	// workload reads it.
 	Retries   uint64 `json:"retries"`
 	Recovered uint64 `json:"recovered"`
 	// Shed counts submissions rejected by admission control (queue_full,
@@ -153,7 +139,7 @@ type Server struct {
 	running int
 	// fastsim:guarded-by(mu)
 	counters struct {
-		accepted, completed, failed, cancelled, retries, recovered, shed uint64
+		accepted, completed, failed, cancelled, recovered, shed uint64
 	}
 }
 
@@ -169,35 +155,24 @@ func New(opts Options) (*Server, error) {
 	if opts.DefaultJobBudget <= 0 {
 		opts.DefaultJobBudget = 64 << 20
 	}
-	if opts.MaxRetries < 0 {
-		opts.MaxRetries = 0
-	} else if opts.MaxRetries == 0 {
-		opts.MaxRetries = 2
-	}
-	if opts.Retry.BaseDelay == 0 && opts.Retry.MaxDelay == 0 {
-		def := snapshot.DefaultRetry()
-		opts.Retry.BaseDelay, opts.Retry.MaxDelay = def.BaseDelay, def.MaxDelay
-	}
 	if opts.DrainTimeout <= 0 {
 		opts.DrainTimeout = 30 * time.Second
 	}
 
 	s := &Server{
 		opts:   opts,
+		shared: opts.Shared,
 		runSim: opts.runSim,
 		jobs:   make(map[string]*Job),
+	}
+	if s.shared == nil {
+		s.shared = memo.NewShared()
 	}
 	if s.runSim == nil {
 		s.runSim = core.RunContext
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.baseCtx, s.baseCancel = context.WithCancelCause(context.Background())
-	switch {
-	case opts.Shared != nil:
-		s.shared = opts.Shared
-	case opts.SharedShards >= 0:
-		s.shared = memo.NewShared(opts.SharedShards)
-	}
 
 	if opts.JournalPath != "" {
 		if err := s.recover(); err != nil {
@@ -222,9 +197,8 @@ func (s *Server) recover() error {
 		return err
 	}
 	type hist struct {
-		accept  *journalRec
-		last    *journalRec // latest terminal record, if any
-		attempt int
+		accept *journalRec
+		last   *journalRec // latest terminal record, if any
 	}
 	byID := make(map[string]*hist)
 	var ids []string
@@ -236,13 +210,11 @@ func (s *Server) recover() error {
 			byID[r.Job] = h
 			ids = append(ids, r.Job)
 		}
+		// Other records (start, and the retry lines older journals may
+		// hold) carry nothing recovery needs.
 		switch r.Rec {
 		case recAccept:
 			h.accept = r
-		case recStart, recRetry:
-			if r.Attempt > h.attempt {
-				h.attempt = r.Attempt
-			}
 		case recDone, recFail, recCancel:
 			h.last = r
 		}
@@ -277,7 +249,6 @@ func (s *Server) recover() error {
 			default:
 				j.state = StateCancelled
 			}
-			j.attempt = h.last.Attempt
 			j.code = h.last.Code
 			j.msg = h.last.Msg
 			j.digest = h.last.Digest
@@ -302,7 +273,7 @@ func (s *Server) recover() error {
 	}
 	s.nextSeq = maxSeq
 
-	jnl, err := openJournal(s.opts.JournalPath, 0, s.journalRetry(), s.opts.Inject, &s.injMu)
+	jnl, err := openJournal(s.opts.JournalPath, 0, s.opts.Inject, &s.injMu)
 	if err != nil {
 		return err
 	}
@@ -313,14 +284,6 @@ func (s *Server) recover() error {
 	jnl.noteTorn(dropped)
 	s.jnl = jnl
 	return nil
-}
-
-// journalRetry is the journal-append retry policy.
-func (s *Server) journalRetry() snapshot.RetryPolicy {
-	p := s.opts.Retry
-	p.Attempts = s.opts.MaxRetries + 1
-	p.Seed = s.opts.RetrySeed
-	return p
 }
 
 // jobCharge is the admission accounting charge for a spec.
@@ -575,8 +538,9 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one job to a terminal state: build, run with deadline
-// and bounded deterministic-backoff retries, journal every transition.
+// runJob executes one job to a terminal state: build, run once under its
+// deadline, journal every transition. A failed run ends on its typed code;
+// resubmission belongs with the client.
 func (s *Server) runJob(job *Job) {
 	if err := job.runCtx.Err(); err != nil {
 		// Cancelled while queued.
@@ -593,58 +557,23 @@ func (s *Server) runJob(job *Job) {
 		s.finish(job, StateFailed, Classify(err), err.Error(), nil)
 		return
 	}
-	if job.Spec.shared() && s.shared != nil {
+	if job.Spec.shared() {
 		cfg.Shared = s.shared
 	}
-	timeout := job.Spec.timeout(s.opts.DefaultTimeout)
 
-	// The whole attempt loop runs under snapshot's deterministic-backoff
-	// machinery: transient failures (including injected engine faults,
-	// wrapped to look transient — see markTransient) are retried with
-	// jittered exponential pauses seeded per job, so equal seeds replay
-	// equal schedules. Permanent errors break out of Do immediately.
-	policy := s.opts.Retry
-	policy.Attempts = s.opts.MaxRetries + 1
-	policy.Seed = s.opts.RetrySeed ^ job.Seq
+	job.mu.Lock()
+	job.state = StateRunning
+	job.mu.Unlock()
+	// Transition records after accept are best-effort: if one is lost to
+	// a crash, recovery simply re-runs the job — results are
+	// deterministic, so a duplicate run is harmless.
+	s.jnl.append(journalRec{Rec: recStart, Job: job.ID}) //nolint:errcheck // see above
 
-	var res *core.Result
-	var runErr error
-	attempt := 0
-	policy.Do(func() error { //nolint:errcheck // the closure's runErr carries the outcome
-		attempt++
-		job.mu.Lock()
-		job.state = StateRunning
-		job.attempt = attempt
-		job.mu.Unlock()
-		if attempt == 1 {
-			// Transition records after accept are best-effort: if one is
-			// lost to a crash, recovery simply re-runs the job — results
-			// are deterministic, so a duplicate run is harmless.
-			s.jnl.append(journalRec{Rec: recStart, Job: job.ID, Attempt: attempt}) //nolint:errcheck // see above
-		}
+	ctx, cancel := context.WithTimeout(job.runCtx, job.Spec.timeout(s.opts.DefaultTimeout))
+	res, runErr := s.simulate(ctx, prog, cfg)
+	cancel()
 
-		ctx, cancel := context.WithTimeout(job.runCtx, timeout)
-		res, runErr = s.simulate(ctx, prog, cfg)
-		cancel()
-
-		if runErr == nil {
-			return nil
-		}
-		if !retryableRun(runErr) {
-			return runErr // permanent: Do stops here
-		}
-		if attempt < policy.Attempts {
-			s.mu.Lock()
-			s.counters.retries++
-			s.mu.Unlock()
-			s.jnl.append(journalRec{ //nolint:errcheck // see above
-				Rec: recRetry, Job: job.ID, Attempt: attempt + 1,
-				Code: Classify(runErr), Msg: runErr.Error(),
-			})
-		}
-		return markTransient(runErr)
-	})
-
+	code := Classify(runErr)
 	switch {
 	case runErr == nil:
 		job.mu.Lock()
@@ -652,27 +581,18 @@ func (s *Server) runJob(job *Job) {
 		job.digest = resultDigest(res)
 		digest := job.digest
 		job.mu.Unlock()
-		s.jnl.append(journalRec{Rec: recDone, Job: job.ID, Attempt: job.attemptNow(), Digest: digest}) //nolint:errcheck // see retry note
+		s.jnl.append(journalRec{Rec: recDone, Job: job.ID, Digest: digest}) //nolint:errcheck // see above
 		s.finish(job, StateDone, "", "", res)
-	case Classify(runErr) == CodeCancelled || Classify(runErr) == CodeDeadline:
-		code := Classify(runErr)
+	case code == CodeCancelled || code == CodeDeadline:
 		if code == CodeCancelled {
 			code = cancelCode(job.runCtx)
 		}
-		s.jnl.append(journalRec{Rec: recCancel, Job: job.ID, Attempt: job.attemptNow(), Code: code, Msg: runErr.Error()}) //nolint:errcheck // see retry note
+		s.jnl.append(journalRec{Rec: recCancel, Job: job.ID, Code: code, Msg: runErr.Error()}) //nolint:errcheck // see above
 		s.finish(job, StateCancelled, code, runErr.Error(), nil)
 	default:
-		code := Classify(runErr)
-		s.jnl.append(journalRec{Rec: recFail, Job: job.ID, Attempt: job.attemptNow(), Code: code, Msg: runErr.Error()}) //nolint:errcheck // see retry note
+		s.jnl.append(journalRec{Rec: recFail, Job: job.ID, Code: code, Msg: runErr.Error()}) //nolint:errcheck // see above
 		s.finish(job, StateFailed, code, runErr.Error(), nil)
 	}
-}
-
-// attemptNow reads the attempt counter under the job lock.
-func (j *Job) attemptNow() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.attempt
 }
 
 // cancelCode distinguishes deadline from client cancellation by the
@@ -685,7 +605,7 @@ func cancelCode(ctx context.Context) Code {
 	return CodeCancelled
 }
 
-// simulate runs one attempt with per-worker panic isolation: a panic that
+// simulate runs the job once with per-worker panic isolation: a panic that
 // escapes the core (which converts only its own typed panics) fails this
 // job with CodeInternal instead of taking the process — and with it every
 // other tenant — down.
@@ -783,7 +703,6 @@ func (s *Server) Stats() Stats {
 		Completed: s.counters.completed,
 		Failed:    s.counters.failed,
 		Cancelled: s.counters.cancelled,
-		Retries:   s.counters.retries,
 		Recovered: s.counters.recovered,
 		Shed:      s.counters.shed,
 		Queued:    len(s.pending),
@@ -795,15 +714,13 @@ func (s *Server) Stats() Stats {
 	s.mu.Unlock()
 	ja, jt := s.jnl.stats()
 	st.JournalAppends, st.JournalTorn = ja, jt
-	if s.shared != nil {
-		sh := s.shared.Stats()
-		st.Shared = &sh
-	}
+	sh := s.shared.Stats()
+	st.Shared = &sh
 	return st
 }
 
-// SharedCache exposes the server's shared p-action cache (nil when
-// sharing is disabled) for embedding callers like fsbench.
+// SharedCache exposes the server's shared p-action cache for embedding
+// callers like fsbench.
 func (s *Server) SharedCache() *memo.SharedCache { return s.shared }
 
 // ProgressInfo is the debugsrv progress hook: live queue/pool counters.
@@ -820,22 +737,3 @@ func (s *Server) ProgressInfo() map[string]string {
 	}
 	return m
 }
-
-// markTransient makes a retryable-but-not-EINTR-class error (an injected
-// engine fault) look transient to snapshot.RetryPolicy.Do, which retries
-// exactly the snapshot.IsTransient class. Errors already in that class
-// pass through untouched.
-func markTransient(err error) error {
-	if snapshot.IsTransient(err) {
-		return err
-	}
-	return &transientMark{err: err}
-}
-
-// transientMark wraps an error so it unwraps to both its cause and
-// syscall.EINTR — the same trick faultinject's transientError uses.
-type transientMark struct{ err error }
-
-func (e *transientMark) Error() string { return e.err.Error() }
-
-func (e *transientMark) Unwrap() []error { return []error{e.err, syscall.EINTR} }

@@ -15,7 +15,6 @@ import (
 	"fastsim/internal/core"
 	"fastsim/internal/faultinject"
 	"fastsim/internal/program"
-	"fastsim/internal/snapshot"
 )
 
 // blockSentinel is a MaxCycles value test stubs treat as "block until
@@ -27,24 +26,12 @@ const blockSentinel = 999_999_999_999
 // panicSentinel marks a job the test stub answers with a panic.
 const panicSentinel = 888_888_888_888
 
-// fastRetry is a no-sleep retry policy so tests never wait on backoff.
-func fastRetry() snapshot.RetryPolicy {
-	return snapshot.RetryPolicy{
-		BaseDelay: time.Millisecond,
-		MaxDelay:  2 * time.Millisecond,
-		Sleep:     func(time.Duration) {},
-	}
-}
-
 // newTestServer builds a server with test-friendly defaults and installs
 // the sentinel-aware runSim stub (real simulation otherwise).
 func newTestServer(t *testing.T, opts Options) *Server {
 	t.Helper()
 	if opts.Workers == 0 {
 		opts.Workers = 2
-	}
-	if opts.Retry.Sleep == nil {
-		opts.Retry = fastRetry()
 	}
 	if opts.DrainTimeout == 0 {
 		opts.DrainTimeout = 5 * time.Second
@@ -124,11 +111,10 @@ func TestJobLifecycleDone(t *testing.T) {
 	}
 }
 
-// TestRetryTransientEngineFault: an injected allocation failure fails the
-// first attempt with a typed engine fault; the server classifies it
-// transient (the injection consumed its occurrence budget), retries under
-// the deterministic backoff, and the job completes.
-func TestRetryTransientEngineFault(t *testing.T) {
+// TestEngineFaultFailsOnce: an injected allocation failure fails the job
+// with the typed engine-fault code on its only run — the server never
+// re-runs a job. The next clean job's digest equals a direct core.Run's.
+func TestEngineFaultFailsOnce(t *testing.T) {
 	s := newTestServer(t, Options{})
 	spec := quickSpec()
 	spec.Faults = []FaultSpec{{Site: "memo.alloc", Rate: 1, Times: 1}}
@@ -137,45 +123,32 @@ func TestRetryTransientEngineFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := mustWait(t, job)
-	if v.State != StateDone {
-		t.Fatalf("job = %+v", v)
+	if v.State != StateFailed || v.Code != CodeEngineFault {
+		t.Fatalf("job = %+v, want failed/engine_fault", v)
 	}
-	if v.Attempt != 2 {
-		t.Errorf("attempt = %d, want 2 (one retry)", v.Attempt)
-	}
-	if st := s.Stats(); st.Retries != 1 {
-		t.Errorf("retries = %d, want 1", st.Retries)
+	if st := s.Stats(); st.Failed != 1 || st.Retries != 0 {
+		t.Errorf("stats = %+v, want 1 failed and 0 retries", st)
 	}
 
-	// Cross-check bit-identity: the retried job's digest matches a clean
-	// run of the same workload.
 	clean, err := s.Submit(quickSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cv := mustWait(t, clean)
-	if cv.Digest != v.Digest {
-		t.Errorf("retried digest %s != clean digest %s", v.Digest, cv.Digest)
+	if cv.State != StateDone {
+		t.Fatalf("clean job = %+v", cv)
 	}
-}
-
-// TestRetryExhaustedTyped: a fault that keeps firing exhausts the retry
-// budget and surfaces as the typed engine-fault code — never a silent
-// loss, never an untyped failure.
-func TestRetryExhaustedTyped(t *testing.T) {
-	s := newTestServer(t, Options{MaxRetries: 2})
-	spec := quickSpec()
-	spec.Faults = []FaultSpec{{Site: "memo.alloc", Rate: 1, Times: 100}}
-	job, err := s.Submit(spec)
+	ref := quickSpec()
+	prog, err := ref.buildProgram()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := mustWait(t, job)
-	if v.State != StateFailed || v.Code != CodeEngineFault {
-		t.Fatalf("job = %+v, want failed/engine_fault", v)
+	res, err := core.Run(prog, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v.Attempt != 3 {
-		t.Errorf("attempt = %d, want 3 (two retries)", v.Attempt)
+	if want := resultDigest(res); cv.Digest != want {
+		t.Errorf("clean job digest %s != direct core.Run digest %s", cv.Digest, want)
 	}
 }
 
@@ -354,36 +327,35 @@ func TestAcceptFaultSite(t *testing.T) {
 	}
 }
 
-// TestJournalWriteFaultRetry: transient journal-write faults within the
-// retry budget are absorbed; beyond it, the submit fails typed and the
-// job is NOT accepted (no half-admitted state).
-func TestJournalWriteFaultRetry(t *testing.T) {
-	dir := t.TempDir()
+// TestJournalWriteFaultSheds: one injected journal-write fault sheds the
+// submit with accept_fault and leaves no journal line and no visible job
+// for it; the next submit is accepted and completes.
+func TestJournalWriteFaultSheds(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	s := newTestServer(t, Options{
-		JournalPath: filepath.Join(dir, "journal.jsonl"),
-		MaxRetries:  2, // journal writes get 3 attempts
-		Inject:      faultinject.New(7, faultinject.Fault{Site: faultinject.SiteJournalWrite, Rate: 1, Times: 2}),
+		JournalPath: path,
+		Inject:      faultinject.New(7, faultinject.Fault{Site: faultinject.SiteJournalWrite, Nth: 1}),
 	})
+	_, err := s.Submit(quickSpec())
+	if Classify(err) != CodeAcceptFault || !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("err = %v, want an injected accept_fault", err)
+	}
+	if len(s.Jobs()) != 0 {
+		t.Error("failed accept left a visible job")
+	}
+	if recs, dropped, err := readJournal(path); err != nil || dropped != 0 || len(recs) != 0 {
+		t.Fatalf("journal after the shed submit = %d recs, %d dropped, err %v; want empty", len(recs), dropped, err)
+	}
+
 	job, err := s.Submit(quickSpec())
 	if err != nil {
-		t.Fatalf("submit with 2 transient journal faults: %v", err)
+		t.Fatalf("submit after the fault: %v", err)
 	}
 	if v := mustWait(t, job); v.State != StateDone {
 		t.Fatalf("job = %+v", v)
 	}
-
-	dir2 := t.TempDir()
-	s2 := newTestServer(t, Options{
-		JournalPath: filepath.Join(dir2, "journal.jsonl"),
-		MaxRetries:  1, // 2 attempts < 3 faults
-		Inject:      faultinject.New(7, faultinject.Fault{Site: faultinject.SiteJournalWrite, Rate: 1, Times: 3}),
-	})
-	_, err = s2.Submit(quickSpec())
-	if Classify(err) != CodeAcceptFault {
-		t.Fatalf("err = %v, want accept_fault", err)
-	}
-	if len(s2.Jobs()) != 0 {
-		t.Error("failed accept left a visible job")
+	if st := s.Stats(); st.Shed != 1 || st.Accepted != 1 {
+		t.Errorf("stats = %+v, want 1 shed and 1 accepted", st)
 	}
 }
 
@@ -540,6 +512,62 @@ func TestJournalRecoversUnknownSpecField(t *testing.T) {
 		if v := mustWait(t, j); v.State != StateDone || !v.Recovered || v.Digest != want {
 			t.Errorf("recovered job %s = %+v, want done with digest %s", id, v, want)
 		}
+	}
+}
+
+// TestJournalRecoversRetryRecords: a journal written by a build that
+// re-ran jobs holds start and retry records and attempt members. Every
+// line still verifies, the finished job keeps its digest, and the
+// unfinished one is re-queued and completes with the clean digest.
+func TestJournalRecoversRetryRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	sealRaw := func(body string) string {
+		return body[:len(body)-1] + sumPrefix + lineSum([]byte(body)) + "\"}\n"
+	}
+	spec := `{"workload":"129.compress","scale":0.2}`
+	lines := []string{
+		`{"seq":1,"rec":"accept","job":"j000001","job_seq":1,"spec":` + spec + `}`,
+		`{"seq":2,"rec":"start","job":"j000001","attempt":1}`,
+		`{"seq":3,"rec":"retry","job":"j000001","attempt":2,"code":"engine_fault","msg":"injected"}`,
+		`{"seq":4,"rec":"done","job":"j000001","attempt":2,"digest":"00000000deadbeef"}`,
+		`{"seq":5,"rec":"accept","job":"j000002","job_seq":2,"spec":` + spec + `}`,
+		`{"seq":6,"rec":"start","job":"j000002","attempt":1}`,
+		`{"seq":7,"rec":"retry","job":"j000002","attempt":2,"code":"engine_fault","msg":"injected"}`,
+	}
+	var data string
+	for _, l := range lines {
+		data += sealRaw(l)
+	}
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestServer(t, Options{JournalPath: path})
+	if st := s.Stats(); st.JournalTorn != 0 || st.Recovered != 1 {
+		t.Fatalf("recovery: %d torn lines, %d re-queued; want 0 and 1", st.JournalTorn, st.Recovered)
+	}
+	done, ok := s.Job("j000001")
+	if !ok {
+		t.Fatal("finished job lost across restart")
+	}
+	dv := done.snapshotView()
+	if dv.State != StateDone || dv.Digest != "00000000deadbeef" {
+		t.Fatalf("finished job = %+v", dv)
+	}
+	if b, _ := json.Marshal(dv); strings.Contains(string(b), "attempt") {
+		t.Errorf("recovered view still reports an attempt: %s", b)
+	}
+	ref, err := s.Submit(quickSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustWait(t, ref).Digest
+	requeued, ok := s.Job("j000002")
+	if !ok {
+		t.Fatal("unfinished job lost across restart")
+	}
+	if v := mustWait(t, requeued); v.State != StateDone || !v.Recovered || v.Digest != want {
+		t.Errorf("re-queued job = %+v, want done with digest %s", v, want)
 	}
 }
 

@@ -1,113 +1,19 @@
 package snapshot
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"syscall"
-	"time"
 
 	"fastsim/internal/faultinject"
 )
 
-// RetryPolicy bounds the retransmission of transient IO failures
-// (EINTR/EAGAIN-class, see IsTransient) around snapshot reads and writes.
-// The zero value means a single attempt — no retries, no sleeping — which
-// keeps the plain Save/Load entry points byte-for-byte as before.
-type RetryPolicy struct {
-	// Attempts is the total number of tries (first attempt included);
-	// values below 1 behave as 1.
-	Attempts int
-	// BaseDelay is the pause before the first retry; each further retry
-	// doubles it, capped at MaxDelay. The actual pause is jittered
-	// deterministically in [delay/2, delay) from Seed and the attempt
-	// number — no global RNG, no wall clock in the computation.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Seed feeds the jitter; runs with equal seeds back off identically.
-	Seed uint64
-	// Sleep, when non-nil, replaces time.Sleep — tests inject a fake so
-	// retry schedules are asserted without real delays.
-	Sleep func(time.Duration)
-}
-
-// DefaultRetry is the policy the core layer uses around snapshot IO: three
-// attempts, 2ms base backoff capped at 50ms.
-func DefaultRetry() RetryPolicy {
-	return RetryPolicy{Attempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
-}
-
-// FileOptions configures SaveFile/LoadFile: the transient-failure retry
-// policy and, for tests and the chaos modes, a fault injector armed at the
-// snapshot sites (transient read/write errors, post-read truncation).
+// FileOptions configures SaveFile/LoadFile: for tests and the chaos modes,
+// a fault injector armed at the snapshot sites (read and write errors,
+// post-read truncation).
 type FileOptions struct {
-	Retry  RetryPolicy
 	Inject *faultinject.Injector
 }
-
-// IsTransient reports whether err is a retryable interruption-class IO
-// failure: EINTR (signal during a slow syscall) or EAGAIN/EWOULDBLOCK.
-// Anything else — ENOSPC, EACCES, corruption — fails fast; retrying cannot
-// fix it and would only delay the caller's fallback.
-func IsTransient(err error) bool {
-	return errors.Is(err, syscall.EINTR) || errors.Is(err, syscall.EAGAIN)
-}
-
-// backoff returns the jittered pause before retry number try (0-based): the
-// exponential delay halved plus a deterministic fraction of that half, so
-// pauses land in [delay/2, delay) without any global randomness.
-func (p RetryPolicy) backoff(try int) time.Duration {
-	delay := p.BaseDelay << uint(try)
-	if p.MaxDelay > 0 && delay > p.MaxDelay {
-		delay = p.MaxDelay
-	}
-	if delay <= 0 {
-		return 0
-	}
-	// splitmix64 over (seed, try), same construction as the fault injector.
-	x := p.Seed ^ (uint64(try+1) * 0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	half := delay / 2
-	return half + time.Duration(x%uint64(half+1))
-}
-
-// withRetry runs op up to p.Attempts times, sleeping the jittered backoff
-// between tries, and returns the first non-transient result (success or a
-// permanent error) or the final transient error once attempts are spent.
-func withRetry(p RetryPolicy, op func() error) error {
-	attempts := p.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	sleep := p.Sleep
-	if sleep == nil {
-		sleep = time.Sleep //fastsim:allow-wallclock: retry pacing only; no simulated state depends on it
-	}
-	var err error
-	for try := 0; try < attempts; try++ {
-		if try > 0 {
-			if d := p.backoff(try - 1); d > 0 {
-				sleep(d)
-			}
-		}
-		if err = op(); err == nil || !IsTransient(err) {
-			return err
-		}
-	}
-	return err
-}
-
-// Do runs op under the policy: transient failures (see IsTransient) are
-// retried with the deterministic jittered backoff, anything else returns
-// immediately. It is the exported form of the retry loop wrapped around
-// snapshot IO, reused by the simulation server's job journal so every
-// durable write in the system shares one retry discipline.
-func (p RetryPolicy) Do(op func() error) error { return withRetry(p, op) }
 
 // WriteAtomic writes data to path with the crash-safe temp+fsync+rename
 // discipline: a crash at any point leaves either the old file or the new
@@ -118,7 +24,7 @@ func WriteAtomic(path string, data []byte) error {
 }
 
 // Save writes img to path crash-safely and returns the file size. It is
-// SaveFile with zero options: one attempt, no injection.
+// SaveFile with zero options: no injection.
 func Save(path string, img *Image) (n int, err error) {
 	return SaveFile(path, img, FileOptions{})
 }
@@ -126,25 +32,19 @@ func Save(path string, img *Image) (n int, err error) {
 // SaveFile writes img to path crash-safely under opts: the bytes go to a
 // temp file in the same directory, are fsynced, and the temp file is renamed
 // over path. A crash (or injected fault) at any point leaves either the old
-// snapshot or the new one, never a torn mix; each attempt starts from a
-// fresh temp file, so a transient failure retried by opts.Retry cannot
-// observe a partial write either.
+// snapshot or the new one, never a torn mix.
 func SaveFile(path string, img *Image, opts FileOptions) (n int, err error) {
+	if err := opts.Inject.Transient(faultinject.SiteSnapshotWrite); err != nil {
+		return 0, fmt.Errorf("snapshot: save: %w", err)
+	}
 	data := Encode(img)
-	dir := filepath.Dir(path)
-	err = withRetry(opts.Retry, func() error {
-		if ierr := opts.Inject.Transient(faultinject.SiteSnapshotWrite); ierr != nil {
-			return fmt.Errorf("snapshot: save: %w", ierr)
-		}
-		return writeAtomic(dir, path, data)
-	})
-	if err != nil {
+	if err := writeAtomic(filepath.Dir(path), path, data); err != nil {
 		return 0, err
 	}
 	return len(data), nil
 }
 
-// writeAtomic is one temp+fsync+rename attempt.
+// writeAtomic is one temp+fsync+rename.
 func writeAtomic(dir, path string, data []byte) (err error) {
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -174,7 +74,7 @@ func writeAtomic(dir, path string, data []byte) (err error) {
 }
 
 // Load reads and decodes the snapshot at path. It is LoadFile with zero
-// options: one attempt, no injection. A missing file surfaces as an error
+// options: no injection. A missing file surfaces as an error
 // satisfying errors.Is(err, fs.ErrNotExist), which callers treat as a
 // silent cold start; decode failures carry ErrCorrupt, ErrVersion or
 // ErrMismatch.
@@ -182,21 +82,15 @@ func Load(path string, wantFingerprint uint64) (*Image, error) {
 	return LoadFile(path, wantFingerprint, FileOptions{})
 }
 
-// LoadFile reads and decodes the snapshot at path under opts. Transient
-// read errors are retried per opts.Retry; decode errors are permanent and
-// never retried. The injector's read site produces transient errors (to
-// exercise the retry path) and its truncate site clips the bytes after a
-// successful read (to exercise checksum detection downstream).
+// LoadFile reads and decodes the snapshot at path under opts. The
+// injector's read site fails the read (callers take their cold-start
+// fallback) and its truncate site clips the bytes after a successful read
+// (to exercise checksum detection downstream).
 func LoadFile(path string, wantFingerprint uint64, opts FileOptions) (*Image, error) {
-	var data []byte
-	err := withRetry(opts.Retry, func() error {
-		if ierr := opts.Inject.Transient(faultinject.SiteSnapshotRead); ierr != nil {
-			return fmt.Errorf("snapshot: load: %w", ierr)
-		}
-		var rerr error
-		data, rerr = os.ReadFile(path)
-		return rerr
-	})
+	if err := opts.Inject.Transient(faultinject.SiteSnapshotRead); err != nil {
+		return nil, fmt.Errorf("snapshot: load: %w", err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -205,8 +99,8 @@ func LoadFile(path string, wantFingerprint uint64, opts FileOptions) (*Image, er
 }
 
 // Inspect reads and decodes the snapshot at path without a fingerprint to
-// compare against — the offline-analysis entry point (see DecodeAny). One
-// read attempt, no injection.
+// compare against — the offline-analysis entry point (see DecodeAny). No
+// injection.
 func Inspect(path string) (*Image, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 
 	"fastsim/internal/memo"
 	"fastsim/internal/stats"
@@ -74,19 +75,12 @@ type Image struct {
 	Graph memo.Graph
 }
 
-// fnv1a is the checksum used for section payloads and the header, matching
-// the FNV-1a constants of the memo config table.
+// fnv1a is the checksum used for section payloads and the header: FNV-1a
+// 64, the hash of the memo config table.
 func fnv1a(data []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
+	h := fnv.New64a()
+	h.Write(data) //nolint:errcheck // fnv.Write never fails
+	return h.Sum64()
 }
 
 // Encode serializes img. The output is deterministic: the same Image

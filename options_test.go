@@ -98,7 +98,7 @@ func TestOptionsSharedCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := NewSharedCache(2)
+	sc := NewSharedCache()
 	first, err := Run(prog, WithSharedCache(sc))
 	if err != nil {
 		t.Fatal(err)
